@@ -19,16 +19,23 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from .classify import ConflictEvent, RiskLevel, classify_frame, extract_event
-from .geometry import sat_overlap
-from .metrics import FrameMetrics, MetricsConfig, compute_pair_frames, pet
+from .metrics import (
+    FrameMetrics,
+    MetricsConfig,
+    PetGridError,
+    TrackArrays,
+    compute_pair_frames,
+    overlap_frames,
+    pet,
+)
 from .stats import build_threshold_table, threshold_table_csv
 from .trajio import (
     ParseResult,
@@ -230,33 +237,57 @@ EVENT_COLUMNS = [
 ]
 
 
-def _scenario_events(scenario: Scenario, cfg: MetricsConfig) -> list[ConflictEvent]:
+def _scenario_events(
+    scenario: Scenario,
+    cfg: MetricsConfig,
+    pet_skipped: list[tuple[str, str, str, str]] | None = None,
+) -> list[ConflictEvent]:
+    """Events of every pair with common frames. Each track's arrays are built
+    once here and shared by its pairs. A pair whose PET raster would be too
+    fine gets an empty pet and, when pet_skipped is given, an entry
+    (scenario_id, agent_a, agent_b, message) there."""
+    arrays = {agent_id: TrackArrays.from_states(track) for agent_id, track in scenario.agents.items()}
     events = []
     for pair in _sorted_pairs(scenario):
-        track_a = scenario.agents[pair[0]]
-        track_b = scenario.agents[pair[1]]
+        track_a = arrays[pair[0]]
+        track_b = arrays[pair[1]]
         frames = compute_pair_frames(track_a, track_b, cfg)
         if not frames:
             continue
-        pet_value = pet(track_a, track_b, cfg) if len(track_a) >= 2 and len(track_b) >= 2 else None
+        pet_value = None
+        if len(track_a) >= 2 and len(track_b) >= 2:
+            try:
+                pet_value = pet(track_a, track_b, cfg)
+            except PetGridError as exc:
+                if pet_skipped is not None:
+                    pet_skipped.append((scenario.scenario_id, pair[0], pair[1], str(exc)))
         events.append(extract_event(scenario.scenario_id, pair, frames, pet_value, cfg))
     return events
 
 
-def _scenario_events_task(payload: tuple[Scenario, MetricsConfig]) -> list[ConflictEvent]:
-    return _scenario_events(*payload)
+def _scenario_events_task(
+    payload: tuple[Scenario, MetricsConfig],
+) -> tuple[list[ConflictEvent], list[tuple[str, str, str, str]]]:
+    skipped: list[tuple[str, str, str, str]] = []
+    return _scenario_events(*payload, skipped), skipped
 
 
-def _collect_events(scenarios: list[Scenario], cfg: MetricsConfig, jobs: int) -> list[ConflictEvent]:
-    jobs = max(1, jobs)
+def _collect_events(
+    scenarios: list[Scenario], cfg: MetricsConfig, jobs: int
+) -> tuple[list[ConflictEvent], list[tuple[str, str, str, str]]]:
+    """Events of every scenario, sorted, and the pairs left without PET
+    because the grid was too fine for them."""
     if jobs > 1 and len(scenarios) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = pool.map(_scenario_events_task, [(s, cfg) for s in scenarios])
-            events = [event for chunk in chunks for event in chunk]
+            results = list(pool.map(_scenario_events_task, [(s, cfg) for s in scenarios]))
     else:
-        events = [event for s in scenarios for event in _scenario_events(s, cfg)]
+        results = [_scenario_events_task((s, cfg)) for s in scenarios]
+    events = [event for chunk, _ in results for event in chunk]
     events.sort(key=lambda e: (e.scenario_id, e.agent_pair))
-    return events
+    pet_skipped = sorted(entry for _, skipped in results for entry in skipped)
+    return events, pet_skipped
 
 
 def _event_row(event: ConflictEvent) -> list[str]:
@@ -280,7 +311,10 @@ def cmd_events(args: argparse.Namespace) -> int:
     scenarios, _ = _load_scenarios(args)
     if not scenarios:
         print("warning: no scenarios in input; writing an empty event table", file=sys.stderr)
-    events = _collect_events(scenarios, cfg, args.jobs)
+    events, pet_skipped = _collect_events(scenarios, cfg, args.jobs)
+    for scenario_id, agent_a, agent_b, message in pet_skipped:
+        print(f"warning: scenario {scenario_id} pair {agent_a},{agent_b}: {message}; pet left empty",
+              file=sys.stderr)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -290,7 +324,7 @@ def cmd_events(args: argparse.Namespace) -> int:
         args,
         cfg,
         started,
-        counts={"scenarios": len(scenarios), "events": len(events)},
+        counts={"scenarios": len(scenarios), "events": len(events), "pet_grid_too_fine": len(pet_skipped)},
         outputs=["events.csv"],
     )
     return EXIT_OK
@@ -301,7 +335,23 @@ def cmd_events(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _event_number(rec: dict, column: str, where: str) -> float | None:
+    """An optional numeric event cell; anything but empty or a finite number
+    raises SchemaError."""
+    cell = rec[column]
+    if not cell:
+        return None
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise SchemaError(f"{where}: {column} is not a finite number: {cell!r}")
+    return value
+
+
 def _read_events_csv(path: str) -> list[ConflictEvent]:
+    """Event rows of an events.csv; a bad cell raises SchemaError naming path:line."""
     label_to_level = {level.label: level for level in RiskLevel}
     events = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -312,17 +362,27 @@ def _read_events_csv(path: str) -> list[ConflictEvent]:
             if required not in reader.fieldnames:
                 raise SchemaError(f"{path}: missing required column: {required}")
         for rec in reader:
+            where = f"{path}:{reader.line_num}"
+            level = label_to_level.get(rec["peak_level"])
+            if level is None:
+                raise SchemaError(f"{where}: unknown peak_level {rec['peak_level']!r}")
+            try:
+                frame_count = int(rec.get("frame_count") or 0)
+            except ValueError:
+                frame_count = -1
+            if frame_count < 0:
+                raise SchemaError(f"{where}: frame_count is not a count: {rec['frame_count']!r}")
             events.append(
                 ConflictEvent(
                     scenario_id=rec["scenario_id"],
                     agent_pair=(rec["agent_a"], rec["agent_b"]),
-                    mei_max=float(rec["mei_max"]) if rec["mei_max"] else None,
-                    t_mei_max=float(rec["t_mei_max"]) if rec["t_mei_max"] else None,
-                    act_min=float(rec["act_min"]) if rec["act_min"] else None,
-                    t_act_min=float(rec["t_act_min"]) if rec["t_act_min"] else None,
-                    pet=float(rec["pet"]) if rec["pet"] else None,
-                    peak_level=label_to_level[rec["peak_level"]],
-                    frame_count=int(rec.get("frame_count") or 0),
+                    mei_max=_event_number(rec, "mei_max", where),
+                    t_mei_max=_event_number(rec, "t_mei_max", where),
+                    act_min=_event_number(rec, "act_min", where),
+                    t_act_min=_event_number(rec, "t_act_min", where),
+                    pet=_event_number(rec, "pet", where),
+                    peak_level=level,
+                    frame_count=frame_count,
                 )
             )
     return events
@@ -379,16 +439,12 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
 
 def _scenario_overlaps(scenario: Scenario) -> list[tuple[str, str, str, float]]:
     """(scenario_id, agent_a, agent_b, first_overlap_t) per overlapping pair."""
+    arrays = {agent_id: TrackArrays.from_states(track) for agent_id, track in scenario.agents.items()}
     removals = []
     for pair in _sorted_pairs(scenario):
-        by_t = {s.t_dms: s for s in scenario.agents[pair[1]]}
-        first = None
-        for sa in scenario.agents[pair[0]]:
-            sb = by_t.get(sa.t_dms)
-            if sb is not None and sat_overlap(sa.box, sb.box):
-                first = sa.t if first is None or sa.t < first else first
-        if first is not None:
-            removals.append((scenario.scenario_id, pair[0], pair[1], first))
+        t, overlap = overlap_frames(arrays[pair[0]], arrays[pair[1]])
+        if overlap.any():
+            removals.append((scenario.scenario_id, pair[0], pair[1], float(t[overlap].min())))
     return removals
 
 
@@ -399,9 +455,10 @@ def cmd_filter_collisions(args: argparse.Namespace) -> int:
     if not scenarios:
         raise EmptyInputError("no scenarios in input")
 
-    jobs = max(1, args.jobs)
-    if jobs > 1 and len(scenarios) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1 and len(scenarios) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             chunks = list(pool.map(_scenario_overlaps, scenarios))
     else:
         chunks = [_scenario_overlaps(s) for s in scenarios]
@@ -437,22 +494,39 @@ def cmd_filter_collisions(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _checked(kind: type, valid, requirement: str):
+    """argparse type that also rejects values outside the flag's domain."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid <type> value"
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser, needs_pet_grid: bool = True) -> None:
     parser.add_argument("--input", action="append", required=True, metavar="PATH",
                         help="input file (repeatable)")
     parser.add_argument("--format", choices=["canonical", "dataset"], default="canonical")
-    parser.add_argument("--d-safe", dest="d_safe", type=float, default=0.0,
+    parser.add_argument("--d-safe", dest="d_safe", default=0.0,
+                        type=_checked(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0"),
                         help="safety-region corner radius in meters (default 0)")
-    parser.add_argument("--tem-star", dest="tem_star", type=float, default=3.0,
+    parser.add_argument("--tem-star", dest="tem_star", default=3.0,
+                        type=_checked(float, lambda v: v > 0.0, "> 0"),
                         help="critical-conflict TEM threshold in seconds (default 3)")
     parser.add_argument("--q", choices=["approach_distance", "always_true"],
                         default="approach_distance", help="conflict predicate")
     parser.add_argument("--mei-cap", dest="mei_cap", type=float, default=None,
                         help="optional clamp on reported MEI values")
-    parser.add_argument("--pet-grid", dest="pet_grid", type=float, default=0.1,
+    parser.add_argument("--pet-grid", dest="pet_grid", default=0.1,
+                        type=_checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0"),
                         help="conflict-zone raster resolution in meters (default 0.1)")
     parser.add_argument("--out", required=True, metavar="DIR", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel scenario workers")
+    parser.add_argument("--jobs", default=1, type=_checked(int, lambda v: v >= 1, ">= 1"),
+                        help="parallel scenario workers")
 
 
 def build_parser() -> argparse.ArgumentParser:

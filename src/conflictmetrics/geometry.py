@@ -5,6 +5,11 @@ contact gap is exactly 0. All types are immutable and every operation is a
 pure function, so values are safe to share across threads.
 
 Conventions: headings are radians CCW from the +x axis; polygons are CCW.
+
+The frame metrics do not run on these types: metrics.ContactRegion computes
+them from the rectangles' half-planes in relative coordinates. The general
+polygon operations here are the reference path the tests and the oracles
+check that kernel against.
 """
 
 from __future__ import annotations

@@ -7,6 +7,11 @@ the constant-velocity model, their ratio MEI, plus the comparison metrics
 ACT (nearest-point collision time) and PET (post-encroachment time over a
 rasterized conflict zone).
 
+Every frame metric is a view of one object, the relative contact region
+B0 ⊕ (−A0) (ContactRegion), evaluated over all common frames of a pair at
+once on the struct-of-arrays form of the tracks (TrackArrays). The scalar
+functions are the one-frame case of the same computation.
+
 Metrics that have no defined value for a frame (no relative motion, no
 collision course) are reported as None, never as sentinel numbers.
 """
@@ -15,22 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
-from .geometry import (
-    ConvexPolygon,
-    OrientedBox,
-    Vec2,
-    corners,
-    cross2,
-    minkowski_sum,
-    nearest_points,
-    ray_polygon_entry,
-    reflected,
-    sat_overlap,
-)
+from .geometry import ConvexPolygon, OrientedBox, Vec2
 
 AGENT_TYPES = ("vehicle", "pedestrian", "cyclist", "other")
 
@@ -43,6 +37,15 @@ PEDESTRIAN_DEFAULT_WIDTH = 0.6
 ZERO_RELATIVE_SPEED = 1e-9
 
 Q_PREDICATES = ("approach_distance", "always_true")
+
+# Slack, in meters, of the test that a ray entering the D_safe-offset region
+# does so along a straight edge rather than past a rounded corner.
+FACE_TOL = 1e-9
+
+# Grid cells evaluated per batch of boxes in PET; keeps each of the batch's
+# temporaries at 64 kB whatever the track length, so PET adds nothing to the
+# peak resident set beyond its rasters.
+PET_BATCH_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -139,6 +142,336 @@ class FrameMetrics:
     d_b: float | None
 
 
+class PetGridError(ValueError):
+    """The PET raster would be too large for the swept-footprint window."""
+
+
+# ---------------------------------------------------------------------------
+# struct-of-arrays tracks
+# ---------------------------------------------------------------------------
+
+_TRACK_FIELDS = ("t_dms", "t", "x", "y", "v", "heading", "length", "width", "cos_h", "sin_h")
+
+
+@dataclass(frozen=True, eq=False)
+class TrackArrays:
+    """Struct-of-arrays form of one agent track, one entry per frame in the
+    order of the states it was built from: t_dms (int64) and float64 t, x, y,
+    v, heading, length, width, plus the heading's cosine and sine."""
+
+    t_dms: np.ndarray
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    v: np.ndarray
+    heading: np.ndarray
+    length: np.ndarray
+    width: np.ndarray
+    cos_h: np.ndarray
+    sin_h: np.ndarray
+
+    @classmethod
+    def from_states(cls, states: Sequence[AgentState]) -> TrackArrays:
+        cols = np.array(
+            [(s.t, s.x, s.y, s.v, s.heading, s.length, s.width) for s in states], dtype=np.float64
+        ).reshape(-1, 7).T.copy()
+        t, x, y, v, heading, length, width = cols
+        # rint rounds half to even like round() in AgentState.t_dms
+        t_dms = np.rint(t * 1e4).astype(np.int64)
+        return cls(t_dms, t, x, y, v, heading, length, width, np.cos(heading), np.sin(heading))
+
+    def __len__(self) -> int:
+        return len(self.t_dms)
+
+    def take(self, idx: np.ndarray) -> TrackArrays:
+        return TrackArrays(*(getattr(self, name)[idx] for name in _TRACK_FIELDS))
+
+
+Track = Union[Sequence[AgentState], TrackArrays]
+
+
+def _as_arrays(track: Track) -> TrackArrays:
+    return track if isinstance(track, TrackArrays) else TrackArrays.from_states(track)
+
+
+def _common_frames(a: TrackArrays, b: TrackArrays) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (ia, ib) of the frames two tracks share, ordered by a's time.
+    A timestamp repeated in b resolves to its last frame, one repeated in a
+    gives one frame per repeat."""
+    if not len(a) or not len(b):
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
+    keys, first = np.unique(b.t_dms[::-1], return_index=True)
+    last = len(b) - 1 - first
+    pos = np.minimum(np.searchsorted(keys, a.t_dms), len(keys) - 1)
+    ia = np.flatnonzero(keys[pos] == a.t_dms)
+    ib = last[pos[ia]]
+    order = np.argsort(a.t[ia], kind="stable")
+    return ia[order], ib[order]
+
+
+# ---------------------------------------------------------------------------
+# the contact-region kernel
+# ---------------------------------------------------------------------------
+
+
+def _corner_signs() -> tuple[np.ndarray, np.ndarray]:
+    """Signs along the length and the width of a rectangle's four corners, as (4, 1) columns."""
+    return np.array([[1.0], [1.0], [-1.0], [-1.0]]), np.array([[1.0], [-1.0], [1.0], [-1.0]])
+
+
+def _slab_clip(s0: np.ndarray, ds: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cyrus–Beck clip of the rays s0 + t·ds against the slabs |s| <= reach,
+    row by row. Returns the entry parameter (>= 0), the exit parameter and
+    the per-row entering parameters; the ray meets the intersection of the
+    slabs iff entry <= exit."""
+    still = ds == 0.0
+    step = np.where(still, 1.0, ds)
+    with np.errstate(over="ignore"):  # a near-parallel row clips at ±inf
+        t1 = (-reach - s0) / step
+        t2 = (reach - s0) / step
+    inside = np.abs(s0) <= reach
+    lo = np.where(still, np.where(inside, -np.inf, np.inf), np.minimum(t1, t2))
+    hi = np.where(still, np.where(inside, np.inf, -np.inf), np.maximum(t1, t2))
+    return np.maximum(lo.max(axis=0), 0.0), hi.min(axis=0), lo
+
+
+class ContactRegion:
+    """The relative contact region R = B0 ⊕ (−A0) of two frame-aligned
+    tracks, over all their frames at once.
+
+    Everything is taken in relative coordinates, p_ab = P_a − P_b, so no
+    absolute footprint coordinate enters a metric. R is the set of p_ab at
+    which the footprints touch: the intersection of the 8 half-planes
+    n·p <= h_A(n) + h_B(n), n in {±u_a, ±u_a⊥, ±u_b, ±u_b⊥}, with the
+    rectangle support h(n) = |n·u|·L/2 + |n·u⊥|·W/2. Rectangles are centrally
+    symmetric, so the half-planes pair into 4 slabs |n·p| <= reach(n); row k
+    of every (4, N) array belongs to axis k = u_a, u_a⊥, u_b, u_b⊥. Rows 2-3
+    of a projection are coordinates in B's body frame, rows 0-1 in A's.
+    """
+
+    def __init__(self, a: TrackArrays, b: TrackArrays) -> None:
+        self.a, self.b = a, b
+        self.hla, self.hwa = 0.5 * a.length, 0.5 * a.width
+        self.hlb, self.hwb = 0.5 * b.length, 0.5 * b.width
+        # u_a·u_b = u_a⊥·u_b⊥ and u_a·u_b⊥ = −u_a⊥·u_b
+        self.cd = a.cos_h * b.cos_h + a.sin_h * b.sin_h
+        self.sd = a.sin_h * b.cos_h - a.cos_h * b.sin_h
+        self.px, self.py = a.x - b.x, a.y - b.y
+        self.s0 = self._project(self.px, self.py)
+        cabs, sabs = np.abs(self.cd), np.abs(self.sd)
+        self.reach = np.stack([
+            self.hla + self.hlb * cabs + self.hwb * sabs,
+            self.hwa + self.hlb * sabs + self.hwb * cabs,
+            self.hla * cabs + self.hwa * sabs + self.hlb,
+            self.hla * sabs + self.hwa * cabs + self.hwb,
+        ])
+        # closed test: touching footprints overlap
+        self.overlap = (np.abs(self.s0) <= self.reach).all(axis=0)
+        self._motion: tuple | None = None
+        self._nearest: tuple | None = None
+
+    def _project(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        a, b = self.a, self.b
+        return np.stack([
+            a.cos_h * x + a.sin_h * y,
+            a.cos_h * y - a.sin_h * x,
+            b.cos_h * x + b.sin_h * y,
+            b.cos_h * y - b.sin_h * x,
+        ])
+
+    def motion(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(vx, vy, speed, moving, ds): the relative velocity v_ab, its norm,
+        whether it exceeds ZERO_RELATIVE_SPEED, and its (4, N) projections."""
+        if self._motion is None:
+            a, b = self.a, self.b
+            vx = a.v * a.cos_h - b.v * b.cos_h
+            vy = a.v * a.sin_h - b.v * b.sin_h
+            speed = np.hypot(vx, vy)
+            self._motion = (vx, vy, speed, speed >= ZERO_RELATIVE_SPEED, self._project(vx, vy))
+        return self._motion
+
+    def in_depth_parts(self, d_safe: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(in_depth, d_ct, d_a, d_b), NaN without relative motion. d_a and
+        d_b are the footprints' half extents across θ = v_ab/|v_ab|, so d_a + d_b
+        is the region's support orthogonal to θ; d_ct = |p_ab × θ|."""
+        vx, vy, speed, moving, ds = self.motion()
+        safe = np.where(moving, speed, 1.0)
+        tx, ty = vx / safe, vy / safe
+        d_ct = np.abs(self.px * ty - self.py * tx)
+        d_a = (self.hla * np.abs(ds[1]) + self.hwa * np.abs(ds[0])) / safe
+        d_b = (self.hlb * np.abs(ds[3]) + self.hwb * np.abs(ds[2])) / safe
+        depth = d_a + d_b - d_ct + d_safe
+        return tuple(np.where(moving, x, np.nan) for x in (depth, d_ct, d_a, d_b))
+
+    def nearest(self) -> tuple[np.ndarray, np.ndarray]:
+        """(gap, closing): the distance from p_ab to R, which is the gap
+        between the footprints (0 at overlap), and the rate at which v_ab
+        closes it along the line of the nearest points.
+
+        The nearest pair of two disjoint rectangles has a corner of one of
+        them, so the gap is the least of the 8 corner-to-rectangle distances,
+        each taken in the body frame of the other rectangle."""
+        if self._nearest is None:
+            _, _, _, _, ds = self.motion()
+            s0, cd, sd = self.s0, self.cd, self.sd
+            sig_l, sig_w = _corner_signs()
+
+            def corner_gaps(px, py, hl, hw, c, s, box_l, box_w, sign):
+                qx = px + sig_l * (hl * c) - sig_w * (hw * s)
+                qy = py + sig_l * (hl * s) + sig_w * (hw * c)
+                ex = np.maximum(np.abs(qx) - box_l, 0.0)
+                ey = np.maximum(np.abs(qy) - box_w, 0.0)
+                return ex, ey, sign * np.copysign(ex, qx), sign * np.copysign(ey, qy)
+
+            # A's corners in B's frame (vector from A's corner to B), then B's
+            # corners in A's frame (vector from A to B's corner)
+            ga = corner_gaps(s0[2], s0[3], self.hla, self.hwa, cd, sd, self.hlb, self.hwb, -1.0)
+            gb = corner_gaps(-s0[0], -s0[1], self.hlb, self.hwb, cd, -sd, self.hla, self.hwa, 1.0)
+            ex, ey, dx, dy = (np.concatenate(pair) for pair in zip(ga, gb))
+            dist = np.hypot(ex, ey)
+            k = dist.argmin(axis=0)[None]
+            gap = np.take_along_axis(dist, k, 0)[0]
+            dx = np.take_along_axis(dx, k, 0)[0]
+            dy = np.take_along_axis(dy, k, 0)[0]
+            in_b = k[0] < 4
+            vx = np.where(in_b, ds[2], ds[0])
+            vy = np.where(in_b, ds[3], ds[1])
+            safe = np.where(gap > 0.0, gap, 1.0)
+            closing = vx * (dx / safe) + vy * (dy / safe)
+            self._nearest = (np.where(self.overlap, 0.0, gap), closing)
+        return self._nearest
+
+    def act(self) -> np.ndarray:
+        """Gap over closing rate; 0 at contact, NaN when the gap is not closing."""
+        gap, closing = self.nearest()
+        ok = closing > ZERO_RELATIVE_SPEED
+        value = np.where(ok, gap / np.where(ok, closing, 1.0), np.nan)
+        return np.where(gap == 0.0, 0.0, value)
+
+    def tem(self, d_safe: float) -> np.ndarray:
+        """First-contact time: entry of the ray p_ab + t·v_ab into R, or into R
+        rounded by a disc of radius d_safe. 0 at contact, NaN without relative
+        motion or collision course."""
+        _, _, _, moving, ds = self.motion()
+        if d_safe > 0.0:
+            entry = self._rounded_entry(d_safe)
+        else:
+            enter, leave, _ = _slab_clip(self.s0, ds, self.reach)
+            entry = np.where(enter <= leave, enter, np.nan)
+        return np.where(self.overlap, 0.0, np.where(moving, entry, np.nan))
+
+    def _rounded_entry(self, d: float) -> np.ndarray:
+        """Entry into R ⊕ disc(d). The offset octagon (reach + d) contains
+        it and differs from it only in the corner pockets outside the vertex
+        discs. A ray that enters the octagon where the foot of the entry
+        point, d back along the face normal, lies on R enters the rounded
+        region there; any other ray can only enter it through a vertex disc
+        (R's vertices are among the 16 corner differences b0 − a0)."""
+        _, _, _, moving, ds = self.motion()
+        gap, _ = self.nearest()
+        enter, leave, lo = _slab_clip(self.s0, ds, self.reach + d)
+        hit = enter <= leave
+        out = np.where(gap <= d, 0.0, np.where(hit, enter, np.nan))
+        todo = np.flatnonzero(hit & moving & ~self.overlap & (gap > d))
+        if todo.size:
+            cols = np.arange(todo.size)
+            k = lo[:, todo].argmax(axis=0)
+            entering = lo[k, todo]
+            side = -np.sign(ds[k, todo])  # the entry face's outward normal is side·n_k
+            cd, sd = self.cd[todo], self.sd[todo]
+            one, zero = np.ones_like(cd), np.zeros_like(cd)
+            gram = np.array([[one, zero, cd, sd], [zero, one, -sd, cd], [cd, -sd, one, zero], [sd, cd, zero, one]])
+            foot = self.s0[:, todo] + enter[todo] * ds[:, todo] - (d * side) * gram[:, k, cols]
+            on_face = (entering >= 0.0) & (np.abs(foot) <= self.reach[:, todo] + FACE_TOL).all(axis=0)
+            corner = todo[~on_face]
+            if corner.size:
+                out[corner] = self._disc_entry(corner, d)
+        return out
+
+    def _disc_entry(self, idx: np.ndarray, d: float) -> np.ndarray:
+        """Earliest entry of the ray into the discs of radius d about the
+        corner differences b0 − a0, in A's body frame; NaN when it misses all."""
+        _, _, _, _, ds = self.motion()
+        sig_l, sig_w = _corner_signs()
+        hla, hwa, hlb, hwb = self.hla[idx], self.hwa[idx], self.hlb[idx], self.hwb[idx]
+        cd, sd = self.cd[idx], self.sd[idx]
+        bx = sig_l * (hlb * cd) + sig_w * (hwb * sd)
+        by = sig_w * (hwb * cd) - sig_l * (hlb * sd)
+        ocx = (self.s0[0, idx] - (bx[:, None] - sig_l[None] * hla)).reshape(16, -1)
+        ocy = (self.s0[1, idx] - (by[:, None] - sig_w[None] * hwa)).reshape(16, -1)
+        vx, vy = ds[0, idx], ds[1, idx]
+        c0 = ocx * ocx + ocy * ocy - d * d
+        qa = vx * vx + vy * vy
+        qb = 2.0 * (ocx * vx + ocy * vy)
+        disc = qb * qb - 4.0 * qa * c0
+        t = (-qb - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * qa)
+        t = np.where(c0 <= 0.0, 0.0, np.where((disc >= 0.0) & (t >= 0.0), t, np.inf))
+        best = t.min(axis=0)
+        return np.where(np.isfinite(best), best, np.nan)
+
+    def approaching(self) -> np.ndarray:
+        """The center distance is strictly decreasing: p_ab·v_ab < 0."""
+        vx, vy, _, _, _ = self.motion()
+        return self.px * vx + self.py * vy < 0.0
+
+
+def _mei_values(depth: np.ndarray, tem: np.ndarray, cfg: MetricsConfig) -> np.ndarray:
+    ok = (tem > 0.0) & ~np.isnan(depth)
+    value = depth / np.where(ok, tem, 1.0)
+    if cfg.mei_cap is not None:
+        value = np.where(value > cfg.mei_cap, cfg.mei_cap, value)
+    return np.where(ok, value, np.nan)
+
+
+def _optional(values: np.ndarray) -> list[float | None]:
+    return [None if v != v else v for v in values.tolist()]
+
+
+def _frames(a: TrackArrays, b: TrackArrays, cfg: MetricsConfig) -> list[FrameMetrics]:
+    """FrameMetrics of frame-aligned tracks, every quantity computed once per frame."""
+    region = ContactRegion(a, b)
+    depth, d_ct, d_a, d_b = region.in_depth_parts(cfg.d_safe)
+    tem = region.tem(cfg.d_safe)
+    if cfg.q_predicate == "always_true":
+        q = np.ones(len(a), dtype=bool)
+    else:
+        q = region.approaching()
+    columns = (
+        a.t.tolist(),
+        _optional(depth),
+        _optional(tem),
+        _optional(_mei_values(depth, tem, cfg)),
+        _optional(region.act()),
+        q.tolist(),
+        region.overlap.tolist(),
+        _optional(d_ct),
+        _optional(d_a),
+        _optional(d_b),
+    )
+    return [FrameMetrics(*row) for row in zip(*columns)]
+
+
+# ---------------------------------------------------------------------------
+# scalar API: the one-frame case of the kernel
+# ---------------------------------------------------------------------------
+
+
+def _one_frame(a: AgentState, b: AgentState) -> tuple[TrackArrays, TrackArrays]:
+    if a.t_dms != b.t_dms:
+        raise ValueError(f"timestamps differ: {a.t} vs {b.t}")
+    return TrackArrays.from_states((a,)), TrackArrays.from_states((b,))
+
+
+def _region(a: AgentState, b: AgentState) -> ContactRegion:
+    return ContactRegion(*_one_frame(a, b))
+
+
+def _scalar(values: np.ndarray) -> float | None:
+    value = float(values[0])
+    return None if math.isnan(value) else value
+
+
 def relative_kinematics(a: AgentState, b: AgentState) -> tuple[Vec2, Vec2, Vec2 | None]:
     """Relative position p_ab = P_a - P_b, relative velocity v_ab = v_a - v_b,
     and the unit direction of v_ab (None when there is no relative motion)."""
@@ -150,13 +483,6 @@ def relative_kinematics(a: AgentState, b: AgentState) -> tuple[Vec2, Vec2, Vec2 
     if speed < ZERO_RELATIVE_SPEED:
         return p_ab, v_ab, None
     return p_ab, v_ab, Vec2(v_ab.x / speed, v_ab.y / speed)
-
-
-def _projection_radius(state: AgentState, theta_ab: Vec2) -> float:
-    """Largest distance from the agent's center to a footprint corner,
-    measured orthogonally to the relative direction of motion."""
-    center = state.position
-    return max(abs(cross2(c - center, theta_ab)) for c in corners(state.box))
 
 
 def in_depth(a: AgentState, b: AgentState, cfg: MetricsConfig = MetricsConfig()) -> float | None:
@@ -176,62 +502,8 @@ def in_depth_parts(
     a: AgentState, b: AgentState, cfg: MetricsConfig = MetricsConfig()
 ) -> tuple[float, float, float, float] | None:
     """(in_depth, d_ct, d_a, d_b) or None when the relative direction is undefined."""
-    p_ab, _, theta_ab = relative_kinematics(a, b)
-    if theta_ab is None:
-        return None
-    d_ct = abs(cross2(p_ab, theta_ab))
-    d_a = _projection_radius(a, theta_ab)
-    d_b = _projection_radius(b, theta_ab)
-    return d_a + d_b - d_ct + cfg.d_safe, d_ct, d_a, d_b
-
-
-def _relative_contact_region(a: AgentState, b: AgentState) -> ConvexPolygon:
-    """Set of relative positions p_ab at which the two footprints touch or
-    overlap: the Minkowski sum of b's footprint with a's reflected footprint,
-    both taken about their centers."""
-    a0 = OrientedBox(Vec2(0.0, 0.0), a.heading, a.length, a.width).polygon()
-    b0 = OrientedBox(Vec2(0.0, 0.0), b.heading, b.length, b.width).polygon()
-    return minkowski_sum(b0, reflected(a0))
-
-
-def _ray_circle_entry(origin: Vec2, direction: Vec2, center: Vec2, radius: float) -> float | None:
-    oc = origin - center
-    c0 = oc.dot(oc) - radius * radius
-    if c0 <= 0.0:
-        return 0.0
-    qa = direction.dot(direction)
-    qb = 2.0 * oc.dot(direction)
-    disc = qb * qb - 4.0 * qa * c0
-    if disc < 0.0:
-        return None
-    t = (-qb - math.sqrt(disc)) / (2.0 * qa)
-    return t if t >= 0.0 else None
-
-
-def _ray_rounded_polygon_entry(
-    origin: Vec2, direction: Vec2, poly: ConvexPolygon, radius: float
-) -> float | None:
-    """Entry parameter of a ray into poly inflated by a disc of given radius
-    (the union of the polygon, edge strips and vertex discs)."""
-    best = ray_polygon_entry(origin, direction, poly)
-    if best == 0.0:
-        return 0.0
-    verts = poly.vertices
-    n = len(verts)
-    for i in range(n):
-        v1, v2 = verts[i], verts[(i + 1) % n]
-        e = v2 - v1
-        elen = e.norm()
-        if elen > 0.0:
-            nrm = Vec2(e.y / elen, -e.x / elen)
-            strip = ConvexPolygon((v1, v1 + radius * nrm, v2 + radius * nrm, v2))
-            t = ray_polygon_entry(origin, direction, strip)
-            if t is not None and (best is None or t < best):
-                best = t
-        t = _ray_circle_entry(origin, direction, v1, radius)
-        if t is not None and (best is None or t < best):
-            best = t
-    return best
+    parts = [_scalar(x) for x in _region(a, b).in_depth_parts(cfg.d_safe)]
+    return None if parts[0] is None else tuple(parts)
 
 
 def tem_ttc2d(a: AgentState, b: AgentState, cfg: MetricsConfig = MetricsConfig()) -> float | None:
@@ -243,15 +515,7 @@ def tem_ttc2d(a: AgentState, b: AgentState, cfg: MetricsConfig = MetricsConfig()
     inflates the region by a disc of that radius. Returns 0 for frames
     already in contact and None when the straight-line motion never collides.
     """
-    if sat_overlap(a.box, b.box):
-        return 0.0
-    p_ab, v_ab, theta_ab = relative_kinematics(a, b)
-    if theta_ab is None:
-        return None
-    region = _relative_contact_region(a, b)
-    if cfg.d_safe > 0.0:
-        return _ray_rounded_polygon_entry(p_ab, v_ab, region, cfg.d_safe)
-    return ray_polygon_entry(p_ab, v_ab, region)
+    return _scalar(_region(a, b).tem(cfg.d_safe))
 
 
 def mei(a: AgentState, b: AgentState, cfg: MetricsConfig = MetricsConfig()) -> float | None:
@@ -261,18 +525,9 @@ def mei(a: AgentState, b: AgentState, cfg: MetricsConfig = MetricsConfig()) -> f
     ratio diverges; the overlap flag reports that case). cfg.mei_cap, when
     set, clamps the reported value for plotting-friendly output.
     """
-    depth = in_depth(a, b, cfg)
-    tem = tem_ttc2d(a, b, cfg)
-    return _mei_from_parts(depth, tem, cfg)
-
-
-def _mei_from_parts(depth: float | None, tem: float | None, cfg: MetricsConfig) -> float | None:
-    if depth is None or tem is None or tem <= 0.0:
-        return None
-    value = depth / tem
-    if cfg.mei_cap is not None and value > cfg.mei_cap:
-        return cfg.mei_cap
-    return value
+    region = _region(a, b)
+    depth = region.in_depth_parts(cfg.d_safe)[0]
+    return _scalar(_mei_values(depth, region.tem(cfg.d_safe), cfg))
 
 
 def act(a: AgentState, b: AgentState) -> float | None:
@@ -282,16 +537,7 @@ def act(a: AgentState, b: AgentState) -> float | None:
     line joining them, with the pair frozen at the current frame. 0 when the
     footprints already touch; None when the gap is not closing.
     """
-    fa, fb = a.footprint, b.footprint
-    qa, qb, gap = nearest_points(fa, fb)
-    if gap == 0.0:
-        return 0.0
-    _, v_ab, _ = relative_kinematics(a, b)
-    u = Vec2((qb.x - qa.x) / gap, (qb.y - qa.y) / gap)
-    closing = v_ab.dot(u)  # > 0 when a gains on b along the joining line
-    if closing <= ZERO_RELATIVE_SPEED:
-        return None
-    return gap / closing
+    return _scalar(_region(a, b).act())
 
 
 def condition_q(a: AgentState, b: AgentState, cfg: MetricsConfig = MetricsConfig()) -> bool:
@@ -302,92 +548,88 @@ def condition_q(a: AgentState, b: AgentState, cfg: MetricsConfig = MetricsConfig
     """
     if cfg.q_predicate == "always_true":
         return True
-    p_ab, v_ab, _ = relative_kinematics(a, b)
-    return p_ab.dot(v_ab) < 0.0
+    return bool(_region(a, b).approaching()[0])
 
 
 def compute_frame(a: AgentState, b: AgentState, cfg: MetricsConfig = MetricsConfig()) -> FrameMetrics:
     """All per-frame metrics for one agent pair at one shared timestamp."""
-    overlap = sat_overlap(a.box, b.box)
-    parts = in_depth_parts(a, b, cfg)
-    if parts is None:
-        depth = d_ct = d_a = d_b = None
-    else:
-        depth, d_ct, d_a, d_b = parts
-    tem = tem_ttc2d(a, b, cfg)
-    return FrameMetrics(
-        t=a.t,
-        in_depth=depth,
-        tem=tem,
-        mei=_mei_from_parts(depth, tem, cfg),
-        act=act(a, b),
-        q_active=condition_q(a, b, cfg),
-        overlap=overlap,
-        d_ct=d_ct,
-        d_a=d_a,
-        d_b=d_b,
-    )
+    return _frames(*_one_frame(a, b), cfg)[0]
 
 
 def compute_pair_frames(
-    track_a: Sequence[AgentState],
-    track_b: Sequence[AgentState],
+    track_a: Track,
+    track_b: Track,
     cfg: MetricsConfig = MetricsConfig(),
 ) -> list[FrameMetrics]:
-    """Frame metrics over the common clock of two time-sorted tracks."""
-    by_t = {s.t_dms: s for s in track_b}
-    out = []
-    for sa in track_a:
-        sb = by_t.get(sa.t_dms)
-        if sb is not None:
-            out.append(compute_frame(sa, sb, cfg))
-    out.sort(key=lambda fm: fm.t)
-    return out
+    """Frame metrics over the common clock of two time-sorted tracks, given
+    as AgentState sequences or as TrackArrays."""
+    a, b = _as_arrays(track_a), _as_arrays(track_b)
+    ia, ib = _common_frames(a, b)
+    if not len(ia):
+        return []
+    return _frames(a.take(ia), b.take(ib), cfg)
 
 
-def _cover_cells(
-    box: OrientedBox,
-    x0: float,
-    y0: float,
-    grid: float,
-    nx: int,
-    ny: int,
-    mask: np.ndarray,
-) -> None:
-    """Mark grid cells whose center lies inside the box (closed test)."""
-    cs = corners(box)
-    bminx = min(c.x for c in cs)
-    bmaxx = max(c.x for c in cs)
-    bminy = min(c.y for c in cs)
-    bmaxy = max(c.y for c in cs)
-    i0 = max(0, int((bminx - x0) / grid) - 1)
-    i1 = min(nx, int((bmaxx - x0) / grid) + 2)
-    j0 = max(0, int((bminy - y0) / grid) - 1)
-    j1 = min(ny, int((bmaxy - y0) / grid) + 2)
-    if i0 >= i1 or j0 >= j1:
+def overlap_frames(track_a: Track, track_b: Track) -> tuple[np.ndarray, np.ndarray]:
+    """(t, overlap) over the common clock of two tracks: a's timestamps and
+    the closed footprint-overlap flag of each common frame."""
+    a, b = _as_arrays(track_a), _as_arrays(track_b)
+    ia, ib = _common_frames(a, b)
+    return a.t[ia], ContactRegion(a.take(ia), b.take(ib)).overlap
+
+
+# ---------------------------------------------------------------------------
+# PET
+# ---------------------------------------------------------------------------
+
+
+def _box_corners(tr: TrackArrays) -> tuple[np.ndarray, np.ndarray]:
+    """(4, N) corner x and y of every box, by the expressions of
+    geometry.corners, so the raster windows match it to the bit."""
+    lx, ly = 0.5 * tr.length * tr.cos_h, 0.5 * tr.length * tr.sin_h
+    wx, wy = 0.5 * tr.width * -tr.sin_h, 0.5 * tr.width * tr.cos_h
+    xs = np.stack([tr.x + lx - wx, tr.x + lx + wx, tr.x - lx - wx, tr.x - lx + wx])
+    ys = np.stack([tr.y + ly - wy, tr.y + ly + wy, tr.y - ly - wy, tr.y - ly + wy])
+    return xs, ys
+
+
+def _box_cells(tr: TrackArrays, corners: tuple[np.ndarray, np.ndarray], x0: float, y0: float,
+               grid: float, bounds: tuple[int, int, int, int]):
+    """For each box of the track, the cells of its window whose center lies
+    inside the box (closed test), as (box, window, inside) with window a pair
+    of slices into the raster. A box's window is its corner bounds padded by
+    more than a cell, clipped to the cell bounds (i_lo, i_hi, j_lo, j_hi), so
+    no cell outside it can pass the test. Boxes go in batches of at most
+    PET_BATCH_CELLS window cells."""
+    xs, ys = corners
+    i_lo, i_hi, j_lo, j_hi = bounds
+    i0 = np.maximum(i_lo, np.trunc((xs.min(axis=0) - x0) / grid).astype(np.int64) - 1)
+    i1 = np.minimum(i_hi, np.trunc((xs.max(axis=0) - x0) / grid).astype(np.int64) + 2)
+    j0 = np.maximum(j_lo, np.trunc((ys.min(axis=0) - y0) / grid).astype(np.int64) - 1)
+    j1 = np.minimum(j_hi, np.trunc((ys.max(axis=0) - y0) / grid).astype(np.int64) + 2)
+    boxes = np.flatnonzero((i0 < i1) & (j0 < j1))
+    if not boxes.size:
         return
-    xs = x0 + (np.arange(i0, i1) + 0.5) * grid
-    ys = y0 + (np.arange(j0, j1) + 0.5) * grid
-    dx = xs[:, None] - box.center.x
-    dy = ys[None, :] - box.center.y
-    c, s = math.cos(box.heading), math.sin(box.heading)
-    u = dx * c + dy * s
-    v = -dx * s + dy * c
-    mask[i0:i1, j0:j1] |= (np.abs(u) <= 0.5 * box.length) & (np.abs(v) <= 0.5 * box.width)
-
-
-def _occupies(box: OrientedBox, zx: np.ndarray, zy: np.ndarray) -> bool:
-    dx = zx - box.center.x
-    dy = zy - box.center.y
-    c, s = math.cos(box.heading), math.sin(box.heading)
-    u = dx * c + dy * s
-    v = -dx * s + dy * c
-    return bool(np.any((np.abs(u) <= 0.5 * box.length) & (np.abs(v) <= 0.5 * box.width)))
+    wi, wj = int((i1 - i0)[boxes].max()), int((j1 - j0)[boxes].max())
+    steps_i, steps_j = np.arange(wi), np.arange(wj)
+    batch = max(1, PET_BATCH_CELLS // (wi * wj))
+    windows = list(zip(boxes.tolist(), i0[boxes].tolist(), i1[boxes].tolist(),
+                       j0[boxes].tolist(), j1[boxes].tolist()))
+    for start in range(0, boxes.size, batch):
+        sel = boxes[start:start + batch]
+        dx = (x0 + (i0[sel, None] + steps_i + 0.5) * grid) - tr.x[sel, None]
+        dy = (y0 + (j0[sel, None] + steps_j + 0.5) * grid) - tr.y[sel, None]
+        c, s = tr.cos_h[sel, None, None], tr.sin_h[sel, None, None]
+        u = dx[:, :, None] * c + dy[:, None, :] * s
+        v = -dx[:, :, None] * s + dy[:, None, :] * c
+        inside = (np.abs(u) <= 0.5 * tr.length[sel, None, None]) & (np.abs(v) <= 0.5 * tr.width[sel, None, None])
+        for k, (box, bi0, bi1, bj0, bj1) in enumerate(windows[start:start + batch]):
+            yield box, (slice(bi0, bi1), slice(bj0, bj1)), inside[k, :bi1 - bi0, :bj1 - bj0]
 
 
 def pet(
-    track_a: Sequence[AgentState],
-    track_b: Sequence[AgentState],
+    track_a: Track,
+    track_b: Track,
     cfg: MetricsConfig = MetricsConfig(),
 ) -> float | None:
     """Post-encroachment time over the shared conflict zone.
@@ -396,24 +638,18 @@ def pet(
     cfg.pet_grid; the result is the gap between the earlier agent's last exit
     from the zone and the later agent's first entry. 0 when both agents
     occupy the zone at the same frame; None when the sweeps never intersect.
+    Raises PetGridError when the raster would exceed 1e8 cells.
     """
-    if len(track_a) < 2 or len(track_b) < 2:
+    a, b = _as_arrays(track_a), _as_arrays(track_b)
+    if len(a) < 2 or len(b) < 2:
         raise ValueError("PET needs at least 2 frames per track")
     grid = cfg.pet_grid
+    corners_a, corners_b = _box_corners(a), _box_corners(b)
 
-    boxes_a = [(s.t_dms, s.box) for s in track_a]
-    boxes_b = [(s.t_dms, s.box) for s in track_b]
-
-    def sweep_bounds(boxes: list[tuple[int, OrientedBox]]) -> tuple[float, float, float, float]:
-        pts = [c for _, box in boxes for c in corners(box)]
-        xs = [p.x for p in pts]
-        ys = [p.y for p in pts]
-        return min(xs), min(ys), max(xs), max(ys)
-
-    aminx, aminy, amaxx, amaxy = sweep_bounds(boxes_a)
-    bminx, bminy, bmaxx, bmaxy = sweep_bounds(boxes_b)
-    minx, maxx = max(aminx, bminx), min(amaxx, bmaxx)
-    miny, maxy = max(aminy, bminy), min(amaxy, bmaxy)
+    minx = max(float(corners_a[0].min()), float(corners_b[0].min()))
+    maxx = min(float(corners_a[0].max()), float(corners_b[0].max()))
+    miny = max(float(corners_a[1].min()), float(corners_b[1].min()))
+    maxy = min(float(corners_a[1].max()), float(corners_b[1].max()))
     if minx > maxx or miny > maxy:
         return None
 
@@ -422,32 +658,36 @@ def pet(
     nx = int(math.ceil((maxx - x0) / grid)) + 2
     ny = int(math.ceil((maxy - y0) / grid)) + 2
     if nx * ny > 100_000_000:
-        raise ValueError(
+        raise PetGridError(
             f"pet_grid={grid} is too fine for a {maxx - minx:.0f} x {maxy - miny:.0f} m "
             "swept-footprint window; raise pet_grid"
         )
 
-    swept_a = np.zeros((nx, ny), dtype=bool)
-    swept_b = np.zeros((nx, ny), dtype=bool)
-    for _, box in boxes_a:
-        _cover_cells(box, x0, y0, grid, nx, ny, swept_a)
-    for _, box in boxes_b:
-        _cover_cells(box, x0, y0, grid, nx, ny, swept_b)
-    zone = swept_a & swept_b
+    swept = []
+    for tr, corners in ((a, corners_a), (b, corners_b)):
+        mask = np.zeros((nx, ny), dtype=bool)
+        for _, window, inside in _box_cells(tr, corners, x0, y0, grid, (0, nx, 0, ny)):
+            mask[window] |= inside
+        swept.append(mask)
+    zone = swept[0] & swept[1]
     if not zone.any():
         return None
     zi, zj = np.nonzero(zone)
-    zx = x0 + (zi + 0.5) * grid
-    zy = y0 + (zj + 0.5) * grid
+    zone_bounds = (int(zi.min()), int(zi.max()) + 1, int(zj.min()), int(zj.max()) + 1)
 
-    times_a = [t for t, box in boxes_a if _occupies(box, zx, zy)]
-    times_b = [t for t, box in boxes_b if _occupies(box, zx, zy)]
-    if not times_a or not times_b:
+    def occupying_times(tr: TrackArrays, corners: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        boxes = [box for box, window, inside in _box_cells(tr, corners, x0, y0, grid, zone_bounds)
+                 if (inside & zone[window]).any()]
+        return tr.t_dms[np.array(boxes, dtype=np.int64)]
+
+    times_a = occupying_times(a, corners_a)
+    times_b = occupying_times(b, corners_b)
+    if not times_a.size or not times_b.size:
         return None
-    if set(times_a) & set(times_b):
+    if np.intersect1d(times_a, times_b).size:
         return 0.0
-    if min(times_a) < min(times_b):
+    if times_a.min() < times_b.min():
         earlier, later = times_a, times_b
     else:
         earlier, later = times_b, times_a
-    return (min(later) - max(earlier)) / 1e4
+    return (int(later.min()) - int(earlier.max())) / 1e4

@@ -78,15 +78,6 @@ class Scenario:
     agents: dict[str, list[AgentState]]
     dt: float = 0.1
 
-    @property
-    def duration(self) -> float:
-        spans = [
-            (track[-1].t_dms - track[0].t_dms) / 1e4
-            for track in self.agents.values()
-            if track
-        ]
-        return max(spans) if spans else 0.0
-
 
 @dataclass
 class ParseResult:

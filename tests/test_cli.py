@@ -236,3 +236,95 @@ class TestDatasetFormat:
         lines = (out / "events.csv").read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("c1,9,AV,")
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--jobs", "0"),
+        ("--jobs", "-2"),
+        ("--tem-star", "0"),
+        ("--tem-star", "-1.5"),
+        ("--d-safe", "-0.5"),
+        ("--pet-grid", "0"),
+        ("--pet-grid", "-0.1"),
+    ],
+)
+def test_out_of_range_flag_is_a_usage_error(tmp_path, corpus_file, capsys, flag, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["events", "--input", str(corpus_file), "--out", str(out), flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+EVENTS_HEADER = "scenario_id,agent_a,agent_b,mei_max,t_mei_max,act_min,t_act_min,pet,peak_level,frame_count"
+
+
+@pytest.mark.parametrize(
+    "column,bad",
+    [
+        ("peak_level", "Severe"),
+        ("mei_max", "high"),
+        ("act_min", "1.2.3"),
+        ("pet", "n/a"),
+        ("frame_count", "ten"),
+    ],
+)
+def test_bad_event_cell_is_a_schema_error(tmp_path, capsys, column, bad):
+    good = {"scenario_id": "s1", "agent_a": "A", "agent_b": "B", "mei_max": "0.8", "t_mei_max": "1.0",
+            "act_min": "2.5", "t_act_min": "1.2", "pet": "1.1", "peak_level": "CriticalConflict",
+            "frame_count": "30"}
+    broken = dict(good, scenario_id="s2", **{column: bad})
+    src = tmp_path / "events.csv"
+    src.write_text(
+        "\n".join([EVENTS_HEADER] + [",".join(rec[c] for c in EVENTS_HEADER.split(",")) for rec in (good, broken)])
+        + "\n",
+        encoding="utf-8",
+    )
+    rc = main(["thresholds", "--input", str(src), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert f"{src}:3" in err and column in err
+
+
+def _diagonal_rows(scenario="diagonal", frames=30):
+    # AV from (0, 0) heading pi/4, V from (100, 0) heading 3*pi/4: the swept
+    # footprints share a window of about 100 m x 100 m.
+    speed = 100.0 * math.sqrt(2.0) / (0.1 * (frames - 1))
+    step = 0.1 * speed * math.sqrt(0.5)
+    rows = []
+    for i in range(frames):
+        t = f"{0.1 * i:.1f}"
+        rows.append(f"{scenario},AV,vehicle,{t},{step * i!r},{step * i!r},{speed!r},{math.pi / 4!r},4.5,2.0")
+        rows.append(f"{scenario},V,vehicle,{t},{100.0 - step * i!r},{step * i!r},{speed!r},{3 * math.pi / 4!r},4.5,2.0")
+    return rows
+
+
+def test_too_fine_pet_grid_leaves_pet_empty_and_continues(tmp_path, capsys):
+    src = tmp_path / "diagonal.csv"
+    src.write_text("\n".join([HEADER] + _diagonal_rows() + _head_on_rows()) + "\n", encoding="utf-8")
+    coarse, fine = tmp_path / "coarse", tmp_path / "fine"
+    assert main(["events", "--input", str(src), "--out", str(coarse)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["events", "--input", str(src), "--out", str(fine), "--pet-grid", "0.005"]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "diagonal" in err and "AV,V" in err and "pet_grid=0.005" in err
+    assert err.count("warning:") == 1
+
+    def table(out):
+        lines = (out / "events.csv").read_text().splitlines()
+        return [line.split(",") for line in lines]
+
+    pet_col = table(coarse)[0].index("pet")
+    for row_coarse, row_fine in zip(table(coarse), table(fine)):
+        assert row_fine[:pet_col] + row_fine[pet_col + 1:] == row_coarse[:pet_col] + row_coarse[pet_col + 1:]
+    diagonal = [row for row in table(fine) if row[0] == "diagonal"]
+    assert diagonal[0][pet_col] == ""
+    assert [row for row in table(coarse) if row[0] == "diagonal"][0][pet_col] != ""
+    counts = json.loads((fine / "manifest.json").read_text())["counts"]
+    assert counts["pet_grid_too_fine"] == 1
+    assert json.loads((coarse / "manifest.json").read_text())["counts"]["pet_grid_too_fine"] == 0

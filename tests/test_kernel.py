@@ -1,0 +1,337 @@
+"""The batched contact-region kernel against the reference geometry path.
+
+The reference path is the general-polygon code in geometry: TEM as the ray
+entry into minkowski_sum(B0, reflected(A0)) by ray_polygon_span, ACT from
+nearest_points on the absolute footprints, overlap by sat_overlap. The
+kernel evaluates many frames in one call, so every property here runs a
+whole batch of unrelated pairs through compute_pair_frames as the frames of
+one pair track.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conflictmetrics.geometry import (
+    OrientedBox,
+    Vec2,
+    corners,
+    minkowski_sum,
+    nearest_points,
+    ray_polygon_span,
+    reflected,
+    sat_overlap,
+)
+from conflictmetrics.metrics import (
+    AgentState,
+    MetricsConfig,
+    TrackArrays,
+    act,
+    compute_frame,
+    compute_pair_frames,
+    in_depth,
+    overlap_frames,
+    pet,
+    relative_kinematics,
+    tem_ttc2d,
+)
+from helpers import close, random_agent
+
+TOL = 1e-9
+UTM_OFFSET = (5e5, 4.5e6)
+
+angles = st.one_of(
+    st.floats(min_value=-math.pi, max_value=math.pi),
+    st.sampled_from([math.pi, -math.pi, 0.0, math.pi / 2, -math.pi / 2]),
+)
+extents = st.floats(min_value=0.5, max_value=6.0)
+speeds = st.floats(min_value=0.0, max_value=20.0)
+coords = st.floats(min_value=-30.0, max_value=30.0)
+
+
+def _state(agent_id, x, y, v, heading, length, width, t=0.0):
+    return AgentState(agent_id, t, x, y, v, heading, length, width)
+
+
+@st.composite
+def pairs(draw):
+    """A random pair, or one with parallel, anti-parallel or ±π headings, or
+    with no relative motion at all."""
+    kind = draw(st.sampled_from(["free", "parallel", "antiparallel", "plus_minus_pi", "same_velocity"]))
+    hb = draw(angles)
+    ha = {
+        "free": draw(angles),
+        "parallel": hb,
+        "antiparallel": math.remainder(hb + math.pi, math.tau),
+        "plus_minus_pi": math.pi,
+        "same_velocity": hb,
+    }[kind]
+    if kind == "plus_minus_pi":
+        hb = -math.pi
+    vb = draw(speeds)
+    va = vb if kind == "same_velocity" else draw(speeds)
+    b = _state("b", draw(coords), draw(coords), vb, hb, draw(extents), draw(extents))
+    a = _state("a", draw(coords), draw(coords), va, ha, draw(extents), draw(extents))
+    return a, b
+
+
+def _region_polygon(a, b):
+    return minkowski_sum(
+        OrientedBox(Vec2(0.0, 0.0), b.heading, b.length, b.width).polygon(),
+        reflected(OrientedBox(Vec2(0.0, 0.0), a.heading, a.length, a.width).polygon()),
+    )
+
+
+@st.composite
+def grazing_pairs(draw):
+    """Pairs whose relative ray passes a vertex of the contact region at a
+    lateral distance of 1e-7 to 1e-3 m, on either side, at least 3 degrees
+    off both edges at that vertex: the collision course is decided by a
+    hair, but the entry time is well conditioned."""
+    ha, hb = draw(angles), draw(angles)
+    va, vb = draw(st.floats(min_value=1.0, max_value=20.0)), draw(st.floats(min_value=0.0, max_value=20.0))
+    la, wa, lb, wb = (draw(extents) for _ in range(4))
+    probe = _state("a", 0.0, 0.0, va, ha, la, wa), _state("b", 0.0, 0.0, vb, hb, lb, wb)
+    _, v, theta = relative_kinematics(*probe)
+    assume(theta is not None and v.norm() > 0.5)
+    verts = _region_polygon(*probe).vertices
+    k = draw(st.integers(min_value=0, max_value=len(verts) - 1))
+    vertex = verts[k]
+    for edge in (verts[k] - verts[k - 1], verts[(k + 1) % len(verts)] - verts[k]):
+        sine = abs(edge.x * theta.y - edge.y * theta.x) / edge.norm()
+        assume(sine > math.sin(math.radians(3.0)))
+    offset = draw(st.sampled_from([1e-7, 1e-5, 1e-3])) * draw(st.sampled_from([-1.0, 1.0]))
+    lead = draw(st.floats(min_value=0.5, max_value=4.0))
+    px = vertex.x - theta.y * offset - lead * v.x
+    py = vertex.y + theta.x * offset - lead * v.y
+    bx, by = draw(coords), draw(coords)
+    return (
+        _state("a", bx + px, by + py, va, ha, la, wa),
+        _state("b", bx, by, vb, hb, lb, wb),
+    )
+
+
+def reference_tem(a, b):
+    if sat_overlap(a.box, b.box):
+        return 0.0
+    p_ab, v_ab, theta = relative_kinematics(a, b)
+    if theta is None:
+        return None
+    span = ray_polygon_span(p_ab, v_ab, _region_polygon(a, b))
+    return None if span is None else span[0]
+
+
+def reference_act(a, b):
+    qa, qb, gap = nearest_points(a.footprint, b.footprint)
+    if gap == 0.0:
+        return 0.0
+    _, v_ab, _ = relative_kinematics(a, b)
+    closing = v_ab.dot(Vec2((qb.x - qa.x) / gap, (qb.y - qa.y) / gap))
+    return None if closing <= 1e-9 else gap / closing
+
+
+def _as_tracks(frame_pairs):
+    """Unrelated pairs as the consecutive frames of one pair of tracks."""
+    track_a, track_b = [], []
+    for i, (a, b) in enumerate(frame_pairs):
+        t = round(0.1 * i, 1)
+        track_a.append(AgentState(a.agent_id, t, a.x, a.y, a.v, a.heading, a.length, a.width))
+        track_b.append(AgentState(b.agent_id, t, b.x, b.y, b.v, b.heading, b.length, b.width))
+    return track_a, track_b
+
+
+def _agree(got, want):
+    return (got is None and want is None) or (got is not None and want is not None and close(got, want, TOL))
+
+
+def _check_against_reference(batch):
+    frames = compute_pair_frames(*_as_tracks(batch))
+    assert len(frames) == len(batch)
+    for (a, b), fm in zip(batch, frames):
+        assert fm.overlap == sat_overlap(a.box, b.box), (a, b)
+        want = reference_tem(a, b)
+        assert _agree(fm.tem, want), ("tem", a, b, fm.tem, want)
+        want = reference_act(a, b)
+        assert _agree(fm.act, want), ("act", a, b, fm.act, want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(pairs(), min_size=1, max_size=12))
+def test_batched_kernel_matches_reference_geometry(batch):
+    _check_against_reference(batch)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(grazing_pairs(), min_size=1, max_size=8))
+def test_batched_kernel_matches_reference_when_grazing(batch):
+    _check_against_reference(batch)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(pairs(), min_size=1, max_size=8), st.floats(min_value=0.05, max_value=3.0))
+def test_rounded_tem_is_first_approach_to_d_safe(batch, d_safe):
+    """With d_safe > 0, TEM is never later than at d_safe 0, and at a positive
+    TEM the footprints (advanced at constant velocity) are d_safe apart."""
+    track_a, track_b = _as_tracks(batch)
+    plain = compute_pair_frames(track_a, track_b)
+    rounded = compute_pair_frames(track_a, track_b, MetricsConfig(d_safe=d_safe))
+    for (a, b), fm0, fm in zip(batch, plain, rounded):
+        if fm0.tem is not None:
+            assert fm.tem is not None and fm.tem <= fm0.tem + 1e-12, (a, b)
+        if fm.tem:
+            va, vb = a.velocity, b.velocity
+            ahead = [
+                AgentState(s.agent_id, 0.0, s.x + fm.tem * vel.x, s.y + fm.tem * vel.y, s.v, s.heading,
+                           s.length, s.width)
+                for s, vel in ((a, va), (b, vb))
+            ]
+            gap = nearest_points(ahead[0].footprint, ahead[1].footprint)[2]
+            assert gap == pytest.approx(d_safe, abs=1e-6), (a, b, fm.tem)
+
+
+@st.composite
+def grid_pairs(draw):
+    """Pairs with positions on a 1/1024 m grid, so that adding UTM_OFFSET is
+    exact and any change after the shift comes from the metric code."""
+    a, b = draw(pairs())
+    q = 1024.0
+    return tuple(
+        _state(s.agent_id, round(s.x * q) / q, round(s.y * q) / q, s.v, s.heading, s.length, s.width)
+        for s in (a, b)
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(grid_pairs(), min_size=1, max_size=12))
+def test_utm_scale_origin_offset_does_not_move_metrics(batch):
+    dx, dy = UTM_OFFSET
+    shifted = [
+        tuple(_state(s.agent_id, s.x + dx, s.y + dy, s.v, s.heading, s.length, s.width) for s in pair)
+        for pair in batch
+    ]
+    local = compute_pair_frames(*_as_tracks(batch))
+    far = compute_pair_frames(*_as_tracks(shifted))
+    for (a, b), fm0, fm1 in zip(batch, local, far):
+        for name in ("tem", "in_depth", "act"):
+            v0, v1 = getattr(fm0, name), getattr(fm1, name)
+            assert (v0 is None) == (v1 is None), (name, a, b)
+            if v0 is not None:
+                assert abs(v0 - v1) <= 1e-9, (name, a, b, v0, v1)
+        assert fm0.overlap == fm1.overlap
+
+
+def _random_track(rng, agent_id, n, t0):
+    x, y = rng.uniform(-20.0, 20.0, size=2)
+    heading, speed = rng.uniform(-math.pi, math.pi), rng.uniform(0.0, 15.0)
+    length, width = rng.uniform(0.5, 6.0), rng.uniform(0.5, 3.0)
+    out = []
+    for i in range(n):
+        heading += rng.normal(0.0, 0.05)
+        speed = max(0.0, speed + rng.normal(0.0, 0.3))
+        x += 0.1 * speed * math.cos(heading)
+        y += 0.1 * speed * math.sin(heading)
+        out.append(AgentState(agent_id, round(t0 + 0.1 * i, 1), x, y, speed,
+                              math.remainder(heading, math.tau), length, width))
+    return out
+
+
+def test_pair_frames_equal_frame_by_frame_exactly():
+    rng = np.random.default_rng(41)
+    for cfg in (MetricsConfig(), MetricsConfig(d_safe=0.7, mei_cap=2.0), MetricsConfig(q_predicate="always_true")):
+        for _ in range(60):
+            track_a = _random_track(rng, "a", int(rng.integers(1, 60)), float(rng.integers(0, 20)) / 10)
+            track_b = _random_track(rng, "b", int(rng.integers(1, 60)), float(rng.integers(0, 20)) / 10)
+            by_t = {s.t_dms: s for s in track_b}
+            expected = [compute_frame(sa, by_t[sa.t_dms], cfg) for sa in track_a if sa.t_dms in by_t]
+            assert compute_pair_frames(track_a, track_b, cfg) == expected
+            arrays = TrackArrays.from_states(track_a), TrackArrays.from_states(track_b)
+            assert compute_pair_frames(*arrays, cfg) == expected
+
+
+def test_scalar_functions_are_the_one_frame_kernel():
+    rng = np.random.default_rng(42)
+    for cfg in (MetricsConfig(), MetricsConfig(d_safe=1.2)):
+        for _ in range(300):
+            a, b = random_agent(rng, "a", pos_range=10.0), random_agent(rng, "b", pos_range=10.0)
+            fm = compute_frame(a, b, cfg)
+            assert (fm.tem, fm.in_depth, fm.act) == (tem_ttc2d(a, b, cfg), in_depth(a, b, cfg), act(a, b))
+
+
+def test_overlap_view_matches_sat():
+    rng = np.random.default_rng(43)
+    batch = [(random_agent(rng, "a", pos_range=4.0), random_agent(rng, "b", pos_range=4.0)) for _ in range(2000)]
+    t, overlap = overlap_frames(*_as_tracks(batch))
+    assert t.tolist() == [round(0.1 * i, 1) for i in range(len(batch))]
+    assert overlap.tolist() == [sat_overlap(a.box, b.box) for a, b in batch]
+    assert 100 < overlap.sum() < 1900
+
+
+def _reference_pet(track_a, track_b, grid):
+    """PET by one box at a time, with the geometry module's corners."""
+    def bounds(track):
+        pts = [c for s in track for c in corners(s.box)]
+        return min(p.x for p in pts), min(p.y for p in pts), max(p.x for p in pts), max(p.y for p in pts)
+
+    (aminx, aminy, amaxx, amaxy), (bminx, bminy, bmaxx, bmaxy) = bounds(track_a), bounds(track_b)
+    minx, maxx, miny, maxy = max(aminx, bminx), min(amaxx, bmaxx), max(aminy, bminy), min(amaxy, bmaxy)
+    if minx > maxx or miny > maxy:
+        return None
+    x0 = math.floor(minx / grid) * grid - grid
+    y0 = math.floor(miny / grid) * grid - grid
+    nx = int(math.ceil((maxx - x0) / grid)) + 2
+    ny = int(math.ceil((maxy - y0) / grid)) + 2
+    xs = x0 + (np.arange(nx) + 0.5) * grid
+    ys = y0 + (np.arange(ny) + 0.5) * grid
+
+    def inside(s, px, py):
+        c, sn = math.cos(s.heading), math.sin(s.heading)
+        dx, dy = px - s.x, py - s.y
+        return (np.abs(dx * c + dy * sn) <= 0.5 * s.length) & (np.abs(-dx * sn + dy * c) <= 0.5 * s.width)
+
+    def swept(track):
+        mask = np.zeros((nx, ny), dtype=bool)
+        for s in track:
+            mask |= inside(s, xs[:, None], ys[None, :])
+        return mask
+
+    zi, zj = np.nonzero(swept(track_a) & swept(track_b))
+    if not len(zi):
+        return None
+    zx, zy = xs[zi], ys[zj]
+    times_a = [s.t_dms for s in track_a if inside(s, zx, zy).any()]
+    times_b = [s.t_dms for s in track_b if inside(s, zx, zy).any()]
+    if not times_a or not times_b:
+        return None
+    if set(times_a) & set(times_b):
+        return 0.0
+    earlier, later = (times_a, times_b) if min(times_a) < min(times_b) else (times_b, times_a)
+    return (min(later) - max(earlier)) / 1e4
+
+
+def _track_through(rng, agent_id, point, n):
+    """A straight track of n frames that passes point at a random frame."""
+    heading, speed = rng.uniform(-math.pi, math.pi), rng.uniform(0.5, 30.0)
+    length, width = rng.uniform(0.2, 6.0), rng.uniform(0.2, 3.0)
+    at = rng.uniform(0.0, 0.1 * n)
+    return [
+        AgentState(agent_id, round(0.1 * i, 1), point[0] + (0.1 * i - at) * speed * math.cos(heading),
+                   point[1] + (0.1 * i - at) * speed * math.sin(heading), speed, heading, length, width)
+        for i in range(n)
+    ]
+
+
+def test_batched_pet_matches_box_by_box_raster():
+    rng = np.random.default_rng(44)
+    defined = 0
+    for _ in range(100):
+        point = rng.uniform(-5.0, 5.0, size=2)
+        track_a = _track_through(rng, "a", point, int(rng.integers(2, 25)))
+        track_b = _track_through(rng, "b", point, int(rng.integers(2, 25)))
+        grid = float(rng.choice([0.1, 0.25]))
+        got = pet(track_a, track_b, MetricsConfig(pet_grid=grid))
+        assert got == _reference_pet(track_a, track_b, grid)
+        defined += got is not None
+    assert defined >= 20
