@@ -4,7 +4,7 @@ Subcommands:
     frames             per-frame metric timeseries for one scenario/pair
     events             per-(scenario, pair) aggregates over a corpus
     thresholds         percentile risk thresholds from an event table
-    filter-collisions  drop events containing footprint overlap
+    filter-collisions  drop scenarios containing footprint overlap
 
 Every run writes its data tables plus a manifest.json echoing the full
 configuration. Data tables are byte-deterministic for identical inputs and
@@ -31,7 +31,6 @@ from .metrics import (
     FrameMetrics,
     MetricsConfig,
     PetGridError,
-    TrackArrays,
     compute_pair_frames,
     overlap_frames,
     pet,
@@ -242,15 +241,13 @@ def _scenario_events(
     cfg: MetricsConfig,
     pet_skipped: list[tuple[str, str, str, str]] | None = None,
 ) -> list[ConflictEvent]:
-    """Events of every pair with common frames. Each track's arrays are built
-    once here and shared by its pairs. A pair whose PET raster would be too
-    fine gets an empty pet and, when pet_skipped is given, an entry
+    """Events of every pair with common frames. A pair whose PET raster would
+    be too fine gets an empty pet and, when pet_skipped is given, an entry
     (scenario_id, agent_a, agent_b, message) there."""
-    arrays = {agent_id: TrackArrays.from_states(track) for agent_id, track in scenario.agents.items()}
     events = []
     for pair in _sorted_pairs(scenario):
-        track_a = arrays[pair[0]]
-        track_b = arrays[pair[1]]
+        track_a = scenario.agents[pair[0]]
+        track_b = scenario.agents[pair[1]]
         frames = compute_pair_frames(track_a, track_b, cfg)
         if not frames:
             continue
@@ -439,10 +436,9 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
 
 def _scenario_overlaps(scenario: Scenario) -> list[tuple[str, str, str, float]]:
     """(scenario_id, agent_a, agent_b, first_overlap_t) per overlapping pair."""
-    arrays = {agent_id: TrackArrays.from_states(track) for agent_id, track in scenario.agents.items()}
     removals = []
     for pair in _sorted_pairs(scenario):
-        t, overlap = overlap_frames(arrays[pair[0]], arrays[pair[1]])
+        t, overlap = overlap_frames(scenario.agents[pair[0]], scenario.agents[pair[1]])
         if overlap.any():
             removals.append((scenario.scenario_id, pair[0], pair[1], float(t[overlap].min())))
     return removals
@@ -551,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_thresh)
     p_thresh.set_defaults(func=cmd_thresholds)
 
-    p_filter = sub.add_parser("filter-collisions", help="drop events with footprint overlap")
+    p_filter = sub.add_parser("filter-collisions", help="drop scenarios containing footprint overlap")
     _add_common(p_filter)
     p_filter.set_defaults(func=cmd_filter_collisions)
 

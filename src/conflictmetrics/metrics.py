@@ -19,8 +19,9 @@ collision course) are reported as None, never as sentinel numbers.
 from __future__ import annotations
 
 import math
+from collections import abc
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -41,6 +42,10 @@ Q_PREDICATES = ("approach_distance", "always_true")
 # Slack, in meters, of the test that a ray entering the D_safe-offset region
 # does so along a straight edge rather than past a rounded corner.
 FACE_TOL = 1e-9
+
+# Timestamps are held as int64 tenths of a millisecond (t_dms); |t| must stay
+# below this many seconds for them to fit.
+MAX_T_S = 1e14
 
 # Grid cells evaluated per batch of boxes in PET; keeps each of the batch's
 # temporaries at 64 kB whatever the track length, so PET adds nothing to the
@@ -150,15 +155,21 @@ class PetGridError(ValueError):
 # struct-of-arrays tracks
 # ---------------------------------------------------------------------------
 
-_TRACK_FIELDS = ("t_dms", "t", "x", "y", "v", "heading", "length", "width", "cos_h", "sin_h")
+_FLOAT_COLUMNS = ("t", "x", "y", "v", "heading", "length", "width")
+_TRACK_COLUMNS = ("t_dms", *_FLOAT_COLUMNS, "agent_type", "cos_h", "sin_h")
 
 
 @dataclass(frozen=True, eq=False)
-class TrackArrays:
-    """Struct-of-arrays form of one agent track, one entry per frame in the
-    order of the states it was built from: t_dms (int64) and float64 t, x, y,
-    v, heading, length, width, plus the heading's cosine and sine."""
+class TrackArrays(abc.Sequence):
+    """One agent's track as columns, one entry per frame: t_dms (int64),
+    float64 t, x, y, v, heading, length, width, the per-frame agent_type (an
+    object array of str), and the heading's cosine and sine.
 
+    It reads as a read-only sequence of AgentState: len, indexing (an
+    AgentState is built on demand), iteration, and == against any sequence
+    of AgentStates."""
+
+    agent_id: str
     t_dms: np.ndarray
     t: np.ndarray
     x: np.ndarray
@@ -167,30 +178,95 @@ class TrackArrays:
     heading: np.ndarray
     length: np.ndarray
     width: np.ndarray
+    agent_type: np.ndarray
     cos_h: np.ndarray
     sin_h: np.ndarray
 
     @classmethod
+    def from_columns(cls, agent_id: str, t, x, y, v, heading, length, width, agent_type) -> TrackArrays:
+        """A track from its columns; t_dms and the heading's cosine and sine
+        are derived here. Raises ValueError when |t| reaches MAX_T_S; the
+        other columns are not validated: see check()."""
+        t = np.asarray(t, dtype=np.float64)
+        if (np.abs(t) >= MAX_T_S).any():
+            raise ValueError(f"t must be within ±{MAX_T_S:g} s for agent {agent_id!r}")
+        heading = np.asarray(heading, dtype=np.float64)
+        with np.errstate(invalid="ignore"):  # a non-finite value is left for check() to name
+            # rint rounds half to even like round() in AgentState.t_dms
+            t_dms = np.rint(t * 1e4).astype(np.int64)
+            cos_h, sin_h = np.cos(heading), np.sin(heading)
+        floats = (np.asarray(c, dtype=np.float64) for c in (x, y, v, heading, length, width))
+        return cls(agent_id, t_dms, t, *floats, np.asarray(agent_type, dtype=object), cos_h, sin_h)
+
+    @classmethod
     def from_states(cls, states: Sequence[AgentState]) -> TrackArrays:
+        """A track from AgentStates; its agent_id is the first state's."""
         cols = np.array(
             [(s.t, s.x, s.y, s.v, s.heading, s.length, s.width) for s in states], dtype=np.float64
         ).reshape(-1, 7).T.copy()
-        t, x, y, v, heading, length, width = cols
-        # rint rounds half to even like round() in AgentState.t_dms
-        t_dms = np.rint(t * 1e4).astype(np.int64)
-        return cls(t_dms, t, x, y, v, heading, length, width, np.cos(heading), np.sin(heading))
+        agent_type = np.array([s.agent_type for s in states], dtype=object)
+        return cls.from_columns(states[0].agent_id if len(states) else "", *cols, agent_type)
+
+    def __reduce__(self):
+        # ships the float columns as one array; the derived ones are rebuilt
+        floats = np.stack([getattr(self, name) for name in _FLOAT_COLUMNS])
+        return (_unpickle_track, (self.agent_id, floats, self.agent_type))
 
     def __len__(self) -> int:
         return len(self.t_dms)
 
-    def take(self, idx: np.ndarray) -> TrackArrays:
-        return TrackArrays(*(getattr(self, name)[idx] for name in _TRACK_FIELDS))
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(index)
+        i = range(len(self))[index]
+        return AgentState(self.agent_id, *(float(getattr(self, name)[i]) for name in _FLOAT_COLUMNS),
+                          agent_type=self.agent_type[i])
+
+    def __iter__(self):
+        columns = [getattr(self, name).tolist() for name in _FLOAT_COLUMNS]
+        for *values, agent_type in zip(*columns, self.agent_type.tolist()):
+            yield AgentState(self.agent_id, *values, agent_type=agent_type)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TrackArrays):
+            if len(self) != len(other):
+                return False
+            return not len(self) or self.agent_id == other.agent_id and all(
+                np.array_equal(getattr(self, name), getattr(other, name)) for name in (*_FLOAT_COLUMNS, "agent_type"))
+        if isinstance(other, abc.Sequence):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def check(self) -> TrackArrays:
+        """The track itself when every frame would make a valid AgentState;
+        otherwise the ValueError AgentState raises for the first invalid frame."""
+        floats = np.array([getattr(self, name) for name in _FLOAT_COLUMNS]).reshape(7, -1)
+        known = np.array([agent_type in AGENT_TYPES for agent_type in self.agent_type.tolist()], dtype=bool)
+        # AgentState's conditions, in the order it tests them
+        fails = np.vstack([~np.isfinite(floats), floats[3] < 0, (floats[5] <= 0) | (floats[6] <= 0), ~known])
+        frames = np.flatnonzero(fails.any(axis=0))
+        if not frames.size:
+            return self
+        i = frames[0]
+        reasons = [*(f"{name} must be finite for agent {self.agent_id!r}" for name in _FLOAT_COLUMNS),
+                   f"speed must be >= 0, got {floats[3, i].item()}",
+                   "footprint dimensions must be > 0",
+                   f"unknown agent_type {self.agent_type[i]!r}"]
+        raise ValueError(reasons[int(np.argmax(fails[:, i]))])
+
+    def take(self, idx) -> TrackArrays:
+        return TrackArrays(self.agent_id, *(getattr(self, name)[idx] for name in _TRACK_COLUMNS))
 
 
-Track = Union[Sequence[AgentState], TrackArrays]
+def _unpickle_track(agent_id: str, floats: np.ndarray, agent_type: np.ndarray) -> TrackArrays:
+    return TrackArrays.from_columns(agent_id, *floats, agent_type)
 
 
-def _as_arrays(track: Track) -> TrackArrays:
+# An agent's frames; TrackArrays is the form the kernels run on.
+Track = Sequence[AgentState]
+
+
+def as_arrays(track: Track) -> TrackArrays:
     return track if isinstance(track, TrackArrays) else TrackArrays.from_states(track)
 
 
@@ -563,7 +639,7 @@ def compute_pair_frames(
 ) -> list[FrameMetrics]:
     """Frame metrics over the common clock of two time-sorted tracks, given
     as AgentState sequences or as TrackArrays."""
-    a, b = _as_arrays(track_a), _as_arrays(track_b)
+    a, b = as_arrays(track_a), as_arrays(track_b)
     ia, ib = _common_frames(a, b)
     if not len(ia):
         return []
@@ -573,7 +649,7 @@ def compute_pair_frames(
 def overlap_frames(track_a: Track, track_b: Track) -> tuple[np.ndarray, np.ndarray]:
     """(t, overlap) over the common clock of two tracks: a's timestamps and
     the closed footprint-overlap flag of each common frame."""
-    a, b = _as_arrays(track_a), _as_arrays(track_b)
+    a, b = as_arrays(track_a), as_arrays(track_b)
     ia, ib = _common_frames(a, b)
     return a.t[ia], ContactRegion(a.take(ia), b.take(ib)).overlap
 
@@ -640,7 +716,7 @@ def pet(
     occupy the zone at the same frame; None when the sweeps never intersect.
     Raises PetGridError when the raster would exceed 1e8 cells.
     """
-    a, b = _as_arrays(track_a), _as_arrays(track_b)
+    a, b = as_arrays(track_a), as_arrays(track_b)
     if len(a) < 2 or len(b) < 2:
         raise ValueError("PET needs at least 2 frames per track")
     grid = cfg.pet_grid

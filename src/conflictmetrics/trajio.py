@@ -20,13 +20,21 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterable, Sequence, TextIO
+
+import numpy as np
 
 from .metrics import (
     AGENT_TYPES,
+    MAX_T_S,
     PEDESTRIAN_DEFAULT_LENGTH,
     PEDESTRIAN_DEFAULT_WIDTH,
     AgentState,
+    Track,
+    TrackArrays,
+    as_arrays,
 )
 
 CANONICAL_COLUMNS = (
@@ -41,6 +49,9 @@ CANONICAL_COLUMNS = (
     "length",
     "width",
 )
+
+# The canonical agent types, so every frame of a type shares one str object.
+_AGENT_TYPE = {name: name for name in AGENT_TYPES}
 
 # Speeds below this make a velocity-derived heading meaningless; such frames
 # inherit the last well-defined heading and are flagged in diagnostics.
@@ -75,7 +86,7 @@ class Scenario:
     """One scenario: agent tracks on a shared clock."""
 
     scenario_id: str
-    agents: dict[str, list[AgentState]]
+    agents: dict[str, Track]
     dt: float = 0.1
 
 
@@ -93,16 +104,32 @@ def _parse_float(raw: str, name: str) -> float:
 
 
 def _rows_from(stream: str | TextIO) -> Iterable[tuple[int, list[str]]]:
+    """(line number, cells) of every line that is neither blank nor a '#'
+    comment, read by one csv.reader pass. Each line is one record: a line
+    whose quoted field is left open is parsed on its own, as if the text
+    ended there, never joined with the next one."""
     text = stream if isinstance(stream, str) else stream.read()
-    for lineno, line in enumerate(io.StringIO(text), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield lineno, next(csv.reader([line]))
+    taken: list[tuple[int, str]] = []  # the lines the reader took for its next row
+
+    def data_lines() -> Iterable[str]:
+        for lineno, line in enumerate(io.StringIO(text), start=1):
+            stripped = line.strip()
+            if stripped and not stripped.startswith("#"):
+                taken.append((lineno, line))
+                yield line
+
+    for row in csv.reader(data_lines()):
+        if len(taken) == 1:
+            yield taken[0][0], row
+        else:
+            for lineno, line in taken:
+                yield lineno, next(csv.reader([line]))
+        taken.clear()
 
 
 def parse_canonical(stream: str | TextIO) -> ParseResult:
-    """Parse canonical trajectory text into scenarios.
+    """Parse canonical trajectory text into scenarios whose tracks are
+    TrackArrays.
 
     Invalid rows are collected as diagnostics and excluded, never silently
     dropped; a malformed header raises SchemaError naming the column.
@@ -116,50 +143,52 @@ def parse_canonical(stream: str | TextIO) -> ParseResult:
     for required in CANONICAL_COLUMNS:
         if required not in colindex:
             raise SchemaError(f"missing required column: {required}")
+    cols = tuple(colindex[name] for name in CANONICAL_COLUMNS)
 
     issues: list[ParseIssue] = []
-    states: dict[str, dict[str, list[AgentState]]] = {}
+    by_scenario: dict[str, list[tuple]] = {}
     for lineno, row in rows:
         try:
-            state, scenario_id = _parse_row(row, colindex)
+            parsed = _parse_row(row, cols)
         except (ValueError, IndexError) as exc:
             issues.append(ParseIssue(line=lineno, scenario_id=None, message=str(exc)))
             continue
-        states.setdefault(scenario_id, {}).setdefault(state.agent_id, []).append(state)
+        by_scenario.setdefault(parsed[0], []).append(parsed)
 
-    scenarios = []
-    for scenario_id in sorted(states):
-        scenarios.append(_build_scenario(scenario_id, states[scenario_id], issues))
+    scenarios = [_build_scenario(sid, by_scenario[sid], issues) for sid in sorted(by_scenario)]
     return ParseResult(scenarios=scenarios, issues=issues)
 
 
-def _parse_row(row: list[str], colindex: dict[str, int]) -> tuple[AgentState, str]:
-    def cell(name: str) -> str:
-        return row[colindex[name]].strip()
-
-    scenario_id = cell("scenario_id")
-    agent_id = cell("agent_id")
+def _parse_row(row: list[str], cols: tuple[int, ...]) -> tuple:
+    """One validated row as (scenario_id, agent_id, agent_type, t, x, y,
+    speed, heading, length, width); cols are the row positions of
+    CANONICAL_COLUMNS. Raises ValueError or IndexError naming the fault."""
+    c_sid, c_aid, c_type, c_t, c_x, c_y, c_speed, c_heading, c_length, c_width = cols
+    scenario_id = row[c_sid].strip()
+    agent_id = row[c_aid].strip()
     if not scenario_id or not agent_id:
         raise ValueError("scenario_id and agent_id must be non-empty")
-    agent_type = cell("agent_type")
-    if agent_type not in AGENT_TYPES:
-        raise ValueError(f"unknown agent_type: {agent_type!r}")
+    agent_type = _AGENT_TYPE.get(row[c_type].strip())
+    if agent_type is None:
+        raise ValueError(f"unknown agent_type: {row[c_type].strip()!r}")
 
-    t = _parse_float(cell("t"), "t")
+    t = _parse_float(row[c_t].strip(), "t")
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
+    if t >= MAX_T_S:
+        raise ValueError(f"t must be < {MAX_T_S:g}, got {t}")
     if abs(t * 1000 - round(t * 1000)) > 1e-6:
         raise ValueError(f"t has more than 3 decimal places: {t}")
     t = round(t * 1e4) / 1e4
 
-    x = _parse_float(cell("x"), "x")
-    y = _parse_float(cell("y"), "y")
-    speed = _parse_float(cell("speed"), "speed")
+    x = _parse_float(row[c_x].strip(), "x")
+    y = _parse_float(row[c_y].strip(), "y")
+    speed = _parse_float(row[c_speed].strip(), "speed")
     if speed < 0:
         raise ValueError(f"speed must be >= 0, got {speed}")
-    heading = normalize_heading(_parse_float(cell("heading"), "heading"))
+    heading = normalize_heading(_parse_float(row[c_heading].strip(), "heading"))
 
-    length_raw, width_raw = cell("length"), cell("width")
+    length_raw, width_raw = row[c_length].strip(), row[c_width].strip()
     if not length_raw or not width_raw:
         if agent_type != "pedestrian":
             raise ValueError("length/width may be empty only for pedestrians")
@@ -170,59 +199,56 @@ def _parse_row(row: list[str], colindex: dict[str, int]) -> tuple[AgentState, st
         width = _parse_float(width_raw, "width")
     if length <= 0 or width <= 0:
         raise ValueError("length and width must be > 0")
-
-    state = AgentState(
-        agent_id=agent_id,
-        t=t,
-        x=x,
-        y=y,
-        v=speed,
-        heading=heading,
-        length=length,
-        width=width,
-        agent_type=agent_type,
-    )
-    return state, scenario_id
+    return scenario_id, agent_id, agent_type, t, x, y, speed, heading, length, width
 
 
-def _build_scenario(
-    scenario_id: str,
-    tracks: dict[str, list[AgentState]],
-    issues: list[ParseIssue],
-) -> Scenario:
-    clean: dict[str, list[AgentState]] = {}
-    spacings: list[int] = []
-    for agent_id in sorted(tracks):
-        track = sorted(tracks[agent_id], key=lambda s: s.t_dms)
-        deduped: list[AgentState] = []
-        for state in track:
-            if deduped and state.t_dms == deduped[-1].t_dms:
-                issues.append(
-                    ParseIssue(
-                        line=None,
-                        scenario_id=scenario_id,
-                        message=f"duplicate timestamp t={state.t} for agent {agent_id}; later row dropped",
-                    )
-                )
-                continue
-            deduped.append(state)
-        clean[agent_id] = deduped
-        spacings.extend(
-            deduped[i + 1].t_dms - deduped[i].t_dms for i in range(len(deduped) - 1)
+def _build_scenario(scenario_id: str, rows: list[tuple], issues: list[ParseIssue]) -> Scenario:
+    """The scenario of one scenario_id's parsed rows. Each agent's frames are
+    sorted by time (stably: rows with one timestamp keep the file's order),
+    and a repeated timestamp keeps its first row. The clock step dt is the
+    smallest spacing of any track; a longer spacing is reported as a gap."""
+    _, agent_ids, agent_types, *floats = zip(*rows)
+    names = sorted(set(agent_ids))
+    index = {agent_id: k for k, agent_id in enumerate(names)}
+    track = np.array([index[agent_id] for agent_id in agent_ids], dtype=np.int64)
+    floats = np.array(floats, dtype=np.float64)  # t, x, y, speed, heading, length, width
+    t_dms = np.rint(floats[0] * 1e4).astype(np.int64)
+    order = np.lexsort((t_dms, track))
+    track, t_dms, floats = track[order], t_dms[order], floats[:, order]
+    agent_types = np.array(agent_types, dtype=object)[order]
+
+    repeat = np.flatnonzero((track[1:] == track[:-1]) & (t_dms[1:] == t_dms[:-1])) + 1
+    t = floats[0].tolist()
+    for i in repeat.tolist():
+        issues.append(
+            ParseIssue(
+                line=None,
+                scenario_id=scenario_id,
+                message=f"duplicate timestamp t={t[i]} for agent {names[track[i]]}; later row dropped",
+            )
         )
-    dt = min(spacings) / 1e4 if spacings else 0.1
+    track, t_dms, floats, agent_types = (np.delete(a, repeat, axis=-1) for a in (track, t_dms, floats, agent_types))
+
+    within = track[1:] == track[:-1]
+    step = t_dms[1:] - t_dms[:-1]
+    dt = int(step[within].min()) / 1e4 if within.any() else 0.1
     dt_dms = round(dt * 1e4)
-    for agent_id, track in clean.items():
-        for i in range(len(track) - 1):
-            if track[i + 1].t_dms - track[i].t_dms > dt_dms:
-                issues.append(
-                    ParseIssue(
-                        line=None,
-                        scenario_id=scenario_id,
-                        message=f"gap in agent {agent_id} track between t={track[i].t} and t={track[i + 1].t}",
-                    )
-                )
-    return Scenario(scenario_id=scenario_id, agents=clean, dt=dt)
+    t = floats[0].tolist()
+    for i in np.flatnonzero(within & (step > dt_dms)).tolist():
+        issues.append(
+            ParseIssue(
+                line=None,
+                scenario_id=scenario_id,
+                message=f"gap in agent {names[track[i]]} track between t={t[i]} and t={t[i + 1]}",
+            )
+        )
+
+    bounds = np.searchsorted(track, np.arange(len(names) + 1)).tolist()
+    agents = {
+        agent_id: TrackArrays.from_columns(agent_id, *floats[:, lo:hi], agent_types[lo:hi])
+        for agent_id, lo, hi in zip(names, bounds, bounds[1:])
+    }
+    return Scenario(scenario_id=scenario_id, agents=agents, dt=dt)
 
 
 def format_time(t_dms: int) -> str:
@@ -231,33 +257,27 @@ def format_time(t_dms: int) -> str:
     return text + "0" if text.endswith(".") else text
 
 
-def _format_value(value: float) -> str:
-    return repr(value)
+def _reprs(values: np.ndarray) -> Iterable[str]:
+    """repr of each value; a column holding one value throughout (bit for
+    bit, so -0.0 and 0.0 stay apart) is rendered once."""
+    bits = values.view(np.uint64)
+    if len(bits) and (bits == bits[0]).all():
+        return repeat(repr(values[0].item()), len(values))
+    return map(repr, values.tolist())
 
 
 def serialize_canonical(scenarios: Sequence[Scenario]) -> str:
     """Render scenarios back to canonical text (stable row order; floats use
     shortest round-trip repr so parse(serialize(s)) is exact)."""
     out = [",".join(CANONICAL_COLUMNS)]
+    times: dict[int, str] = {}
     for scenario in sorted(scenarios, key=lambda s: s.scenario_id):
         for agent_id in sorted(scenario.agents):
-            for s in scenario.agents[agent_id]:
-                out.append(
-                    ",".join(
-                        (
-                            scenario.scenario_id,
-                            s.agent_id,
-                            s.agent_type,
-                            format_time(s.t_dms),
-                            _format_value(s.x),
-                            _format_value(s.y),
-                            _format_value(s.v),
-                            _format_value(s.heading),
-                            _format_value(s.length),
-                            _format_value(s.width),
-                        )
-                    )
-                )
+            tr = as_arrays(scenario.agents[agent_id])
+            head = f"{scenario.scenario_id},{tr.agent_id},"
+            stamps = [times.get(k) or times.setdefault(k, format_time(k)) for k in tr.t_dms.tolist()]
+            values = (_reprs(getattr(tr, name)) for name in ("x", "y", "v", "heading", "length", "width"))
+            out.extend(head + ",".join(cells) for cells in zip(tr.agent_type.tolist(), stamps, *values))
     return "\n".join(out) + "\n"
 
 
@@ -280,6 +300,7 @@ def resample(scenario: Scenario, dt: float) -> Scenario:
         raise ValueError("dt below timestamp resolution (0.1 ms)")
     agents: dict[str, list[AgentState]] = {}
     for agent_id, track in scenario.agents.items():
+        track = list(track)
         if len(track) < 2:
             raise ValueError(f"agent {agent_id} has fewer than 2 frames; cannot resample")
         t_first, t_last = track[0].t_dms, track[-1].t_dms
@@ -321,24 +342,30 @@ def derive_kinematics(
     Central differences with one-sided endpoints; near-zero-speed frames
     inherit the previous well-defined heading (0.0 before any motion).
     """
-    n = len(positions)
-    if n < 2:
+    if len(positions) < 2:
         raise ValueError("need at least 2 frames to derive kinematics")
-    out: list[tuple[float, float]] = []
+    t, x, y = np.array(positions, dtype=np.float64).T
+    return list(zip(*_central_kinematics(t, x, y)))
+
+
+def _central_kinematics(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[list[float], list[float]]:
+    """derive_kinematics over columns of at least 2 frames."""
+    frame = np.arange(len(t))
+    lo, hi = np.maximum(frame - 1, 0), np.minimum(frame + 1, len(t) - 1)
+    dt = t[hi] - t[lo]
+    if (dt == 0).any():
+        raise ValueError("a central difference spans no time: timestamps repeat")
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite position gives NaN, as in floats
+        vx = ((x[hi] - x[lo]) / dt).tolist()
+        vy = ((y[hi] - y[lo]) / dt).tolist()
+    speed = list(map(math.hypot, vx, vy))
+    heading = []
     last_heading = 0.0
-    for i in range(n):
-        lo = max(0, i - 1)
-        hi = min(n - 1, i + 1)
-        t0, x0, y0 = positions[lo]
-        t1, x1, y1 = positions[hi]
-        dt = t1 - t0
-        vx = (x1 - x0) / dt
-        vy = (y1 - y0) / dt
-        speed = math.hypot(vx, vy)
-        if speed >= NEAR_ZERO_SPEED:
-            last_heading = math.atan2(vy, vx)
-        out.append((speed, last_heading))
-    return out
+    for v, dx, dy in zip(speed, vx, vy):
+        if v >= NEAR_ZERO_SPEED:
+            last_heading = math.atan2(dy, dx)
+        heading.append(last_heading)
+    return speed, heading
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +375,6 @@ def derive_kinematics(
 DATASET_LAYOUT = "lateral_conflict_csv_v1"
 
 _DATASET_REQUIRED = ("case_id", "track_id", "object_category", "timestep", "x", "y")
-_DATASET_FRAME_DT_DMS = 1000  # 10 Hz export
 
 _CATEGORY_MAP = {
     "vehicle": "vehicle",
@@ -365,11 +391,22 @@ _CATEGORY_MAP = {
 AV_TRACK_ID = "AV"
 
 
+# cells a record keeps of a dataset row; an absent column reads None
+_DATASET_CELLS = ("case_id", "track_id", "timestep", "x", "y", "vx", "vy", "psi_rad",
+                  "object_category", "length", "width")
+# a record is (line, has_vel, has_psi, *_DATASET_CELLS); positions in it
+_LINE, _CASE, _TRACK, _STEP = 0, 3, 4, 5
+
+# Largest accepted |timestep|: its time must stay below MAX_T_S.
+_MAX_TIMESTEP = int(MAX_T_S * 10)
+
+
 def adapt_external(
     paths: Sequence[str],
     layout: str = DATASET_LAYOUT,
 ) -> ParseResult:
-    """Map lateral-conflict dataset CSV exports onto canonical scenarios.
+    """Map lateral-conflict dataset CSV exports onto canonical scenarios
+    whose tracks are TrackArrays.
 
     Expected columns: case_id, track_id, object_category, timestep (frame
     index on the 10 Hz clock), x, y, then either psi_rad plus vx/vy, vx/vy
@@ -383,22 +420,34 @@ def adapt_external(
             f"unsupported dataset layout {layout!r}; supported: {DATASET_LAYOUT}"
         )
     issues: list[ParseIssue] = []
-    raw: dict[str, dict[str, list[dict]]] = {}
+    # case_id -> track_id -> records
+    raw: dict[str, dict[str, list[tuple]]] = {}
     for path in paths:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise SchemaError(f"{path}: empty file")
             for required in _DATASET_REQUIRED:
-                if required not in reader.fieldnames:
+                if required not in header:
                     raise SchemaError(f"{path}: missing required column: {required}")
-            has_vel = "vx" in reader.fieldnames and "vy" in reader.fieldnames
-            has_psi = "psi_rad" in reader.fieldnames
-            for lineno, rec in enumerate(reader, start=2):
-                rec["_line"] = lineno
-                rec["_has_vel"] = has_vel
-                rec["_has_psi"] = has_psi
-                raw.setdefault(rec["case_id"], {}).setdefault(rec["track_id"], []).append(rec)
+            flags = ("vx" in header and "vy" in header, "psi_rad" in header)
+            width = len(header)
+            colindex = {name: i for i, name in enumerate(header)}
+            picked = [colindex.get(name, width) for name in _DATASET_CELLS]
+            pick = itemgetter(*picked)
+            absent = width in picked  # an absent column reads the None appended to each row
+            line = 1  # records are numbered from 2, blank lines not counted
+            for row in reader:
+                if not row:
+                    continue
+                line += 1
+                if len(row) != width:  # a short row reads None, extra cells are ignored
+                    row = (row + [None] * width)[:width]
+                if absent:
+                    row.append(None)
+                rec = (line, *flags, *pick(row))
+                raw.setdefault(rec[_CASE], {}).setdefault(rec[_TRACK], []).append(rec)
 
     scenarios: list[Scenario] = []
     for case_id in sorted(raw):
@@ -408,10 +457,10 @@ def adapt_external(
                 ParseIssue(line=None, scenario_id=case_id, message="scenario has no AV track; skipped")
             )
             continue
-        agents: dict[str, list[AgentState]] = {}
+        agents: dict[str, Track] = {}
         for track_id in sorted(tracks):
             try:
-                states = _adapt_track(case_id, track_id, tracks[track_id], issues)
+                track = _adapt_track(case_id, track_id, tracks[track_id], issues)
             except (ValueError, TypeError) as exc:
                 issues.append(
                     ParseIssue(
@@ -421,8 +470,8 @@ def adapt_external(
                     )
                 )
                 continue
-            if states:
-                agents[track_id] = states
+            if track is not None:
+                agents[track_id] = track
         if AV_TRACK_ID not in agents:
             issues.append(
                 ParseIssue(
@@ -432,36 +481,41 @@ def adapt_external(
                 )
             )
             continue
-        if agents:
-            scenarios.append(Scenario(scenario_id=case_id, agents=agents, dt=0.1))
+        scenarios.append(Scenario(scenario_id=case_id, agents=agents, dt=0.1))
     return ParseResult(scenarios=scenarios, issues=issues)
 
 
 def _adapt_track(
     case_id: str,
     track_id: str,
-    recs: list[dict],
+    recs: list[tuple],
     issues: list[ParseIssue],
-) -> list[AgentState]:
-    recs = sorted(recs, key=lambda r: int(r["timestep"]))
-    deduped: list[dict] = []
-    for rec in recs:
-        if deduped and int(rec["timestep"]) == int(deduped[-1]["timestep"]):
-            issues.append(
-                ParseIssue(
-                    line=rec["_line"],
-                    scenario_id=case_id,
-                    message=f"track {track_id}: duplicate timestep {rec['timestep']}; later row dropped",
-                )
+) -> TrackArrays | None:
+    """One track's records as a validated TrackArrays, or None when the track
+    is skipped with a diagnostic. A malformed cell or an invalid frame
+    raises ValueError or TypeError, the first in record order."""
+    steps = [int(rec[_STEP]) for rec in recs]
+    if max(map(abs, steps)) > _MAX_TIMESTEP:
+        raise ValueError(f"timestep beyond {_MAX_TIMESTEP}")
+    order = np.argsort(steps, kind="stable")
+    steps = np.array(steps, dtype=np.int64)[order]
+    repeat = np.flatnonzero(steps[1:] == steps[:-1]) + 1
+    for i in repeat.tolist():
+        rec = recs[order[i]]
+        issues.append(
+            ParseIssue(
+                line=rec[_LINE],
+                scenario_id=case_id,
+                message=f"track {track_id}: duplicate timestep {rec[_STEP]}; later row dropped",
             )
-            continue
-        deduped.append(rec)
-    recs = deduped
-    category = recs[0].get("object_category", "").strip().lower()
-    agent_type = _CATEGORY_MAP.get(category, "other")
+        )
+    recs = [recs[i] for i in np.delete(order, repeat).tolist()]
+    steps = np.delete(steps, repeat)
+    lines, has_vel, has_psi, _, _, _, xs, ys, vxs, vys, psis, categories, lengths, widths = zip(*recs)
+    agent_type = _CATEGORY_MAP.get(categories[0].strip().lower(), "other")
 
-    length_raw = (recs[0].get("length") or "").strip()
-    width_raw = (recs[0].get("width") or "").strip()
+    length_raw = (lengths[0] or "").strip()
+    width_raw = (widths[0] or "").strip()
     if length_raw and width_raw:
         length, width = float(length_raw), float(width_raw)
     elif agent_type == "pedestrian":
@@ -469,30 +523,32 @@ def _adapt_track(
     else:
         issues.append(
             ParseIssue(
-                line=recs[0]["_line"],
+                line=lines[0],
                 scenario_id=case_id,
                 message=f"track {track_id}: missing dimensions for non-pedestrian; track skipped",
             )
         )
-        return []
+        return None
 
-    positions = [(int(r["timestep"]) * 0.1, float(r["x"]), float(r["y"])) for r in recs]
-    if recs[0]["_has_vel"]:
-        kin = []
+    n = len(recs)
+    t = steps * 0.1
+    xy = np.fromiter(map(float, chain.from_iterable(zip(xs, ys))), dtype=np.float64, count=2 * n)
+    x, y = xy[0::2], xy[1::2]
+    if has_vel[0]:
+        speed, heading = [], []
         last_heading = 0.0
         flagged = False
-        for r in recs:
-            vx, vy = float(r["vx"]), float(r["vy"])
-            speed = math.hypot(vx, vy)
-            if r["_has_psi"]:
-                heading = normalize_heading(float(r["psi_rad"]))
-            elif speed >= NEAR_ZERO_SPEED:
-                heading = math.atan2(vy, vx)
-                last_heading = heading
+        for vx_raw, vy_raw, psi_raw, psi_given in zip(vxs, vys, psis, has_psi):
+            vx, vy = float(vx_raw), float(vy_raw)
+            speed.append(math.hypot(vx, vy))
+            if psi_given:
+                heading.append(normalize_heading(float(psi_raw)))
+            elif speed[-1] >= NEAR_ZERO_SPEED:
+                last_heading = normalize_heading(math.atan2(vy, vx))
+                heading.append(last_heading)
             else:
-                heading = last_heading
+                heading.append(last_heading)
                 flagged = True
-            kin.append((speed, heading))
         if flagged:
             issues.append(
                 ParseIssue(
@@ -502,30 +558,26 @@ def _adapt_track(
                 )
             )
     else:
-        if len(positions) < 2:
+        if n < 2:
             issues.append(
                 ParseIssue(
-                    line=recs[0]["_line"],
+                    line=lines[0],
                     scenario_id=case_id,
                     message=f"track {track_id}: single frame and no velocity columns; track skipped",
                 )
             )
-            return []
-        kin = derive_kinematics(positions)
+            return None
+        speed, heading = _central_kinematics(t, x, y)
+        heading = list(map(normalize_heading, heading))
 
-    states = []
-    for (t, x, y), (speed, heading) in zip(positions, kin):
-        states.append(
-            AgentState(
-                agent_id=track_id,
-                t=round(t * 1e4) / 1e4,
-                x=x,
-                y=y,
-                v=speed,
-                heading=normalize_heading(heading),
-                length=length,
-                width=width,
-                agent_type=agent_type,
-            )
-        )
-    return states
+    return TrackArrays.from_columns(
+        track_id,
+        np.rint(t * 1e4) / 1e4,
+        x,
+        y,
+        speed,
+        heading,
+        np.full(n, length),
+        np.full(n, width),
+        [agent_type] * n,
+    ).check()

@@ -328,3 +328,11 @@ def test_too_fine_pet_grid_leaves_pet_empty_and_continues(tmp_path, capsys):
     counts = json.loads((fine / "manifest.json").read_text())["counts"]
     assert counts["pet_grid_too_fine"] == 1
     assert json.loads((coarse / "manifest.json").read_text())["counts"]["pet_grid_too_fine"] == 0
+
+
+def test_filter_collisions_help_names_whole_scenarios(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "filter-collisions drop scenarios containing footprint overlap" in text
+    assert "drop events" not in text

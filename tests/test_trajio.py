@@ -320,3 +320,140 @@ class TestAdaptExternal:
         result = adapt_external([path])
         assert sorted(result.scenarios[0].agents) == ["AV"]
         assert any("missing dimensions" in issue.message for issue in result.issues)
+
+
+EVERY_ROW_ERROR = [
+    "# every row error, then a repeated timestamp and a gap",
+    HEADER,
+    "s1,A,vehicle,0.0,0,0,5,0,4,2",
+    "s1,A,vehicle,0.1,0.5,0,5,0,4,2",
+    "",
+    " ,A,vehicle,0.2,1,0,5,0,4,2",
+    "s1,A,truck,0.2,1,0,5,0,4,2",
+    "s1,A,vehicle,abc,1,0,5,0,4,2",
+    "s1,A,vehicle,nan,1,0,5,0,4,2",
+    "s1,A,vehicle,-0.1,1,0,5,0,4,2",
+    "s1,A,vehicle,0.1234,1,0,5,0,4,2",
+    "s1,A,vehicle,0.2,inf,0,5,0,4,2",
+    "s1,A,vehicle,0.2,1,-inf,5,0,4,2",
+    "s1,A,vehicle,0.2,1,0,nan,0,4,2",
+    "s1,A,vehicle,0.2,1,0,-1,0,4,2",
+    "s1,A,vehicle,0.2,1,0,5,NaN,4,2",
+    "s1,A,vehicle,0.2,1,0,5,0,,2",
+    "s1,A,vehicle,0.2,1,0,5,0,inf,2",
+    "s1,A,vehicle,0.2,1,0,5,0,4,nan",
+    "s1,A,vehicle,0.2,1,0,5,0,0,2",
+    "s1,A,vehicle,0.2,1,0,5",
+    's1,A,vehicle,0.2,"1,0,5,0,4,2',
+    "   # indented comment",
+    "s1,A,vehicle,0.1,9,9,5,0,4,2",
+    "s1,A,vehicle,0.5,2.5,0,5,0,4,2",
+    "s1,B,pedestrian,0.0,3,3,1,0,,",
+    "s1,B,pedestrian,0.3,3,3.3,1,0,,",
+    "s1,B,pedestrian,0.3,3,3.6,1,0,,",
+]
+
+
+def test_parse_diagnostics_are_pinned():
+    """Every row-error kind, in file order with its line (blank and comment
+    lines count; a quote left open ends with its line), then the
+    scenario-level repeated timestamps and gaps."""
+    result = parse_canonical("\n".join(EVERY_ROW_ERROR) + "\n")
+    assert [(i.line, i.scenario_id, i.message) for i in result.issues] == [
+        (6, None, "scenario_id and agent_id must be non-empty"),
+        (7, None, "unknown agent_type: 'truck'"),
+        (8, None, "could not convert string to float: 'abc'"),
+        (9, None, "non-finite t: 'nan'"),
+        (10, None, "t must be >= 0, got -0.1"),
+        (11, None, "t has more than 3 decimal places: 0.1234"),
+        (12, None, "non-finite x: 'inf'"),
+        (13, None, "non-finite y: '-inf'"),
+        (14, None, "non-finite speed: 'nan'"),
+        (15, None, "speed must be >= 0, got -1.0"),
+        (16, None, "non-finite heading: 'NaN'"),
+        (17, None, "length/width may be empty only for pedestrians"),
+        (18, None, "non-finite length: 'inf'"),
+        (19, None, "non-finite width: 'nan'"),
+        (20, None, "length and width must be > 0"),
+        (21, None, "list index out of range"),
+        (22, None, "could not convert string to float: '1,0,5,0,4,2'"),
+        (None, "s1", "duplicate timestamp t=0.1 for agent A; later row dropped"),
+        (None, "s1", "duplicate timestamp t=0.3 for agent B; later row dropped"),
+        (None, "s1", "gap in agent A track between t=0.1 and t=0.5"),
+        (None, "s1", "gap in agent B track between t=0.0 and t=0.3"),
+    ]
+    (scenario,) = result.scenarios
+    assert scenario.dt == 0.1
+    assert [(s.t, s.x) for s in scenario.agents["A"]] == [(0.0, 0.0), (0.1, 0.5), (0.5, 2.5)]
+    assert [(s.t, s.y) for s in scenario.agents["B"]] == [(0.0, 3.0), (0.3, 3.3)]
+
+
+def test_adapt_skips_only_the_track_with_a_malformed_cell(tmp_path):
+    good = "{case},{track},{cat},{i},{x},0.0,5.0,0.0,{psi},{length},2.0"
+    rows = []
+    for i in range(5):
+        rows.append(good.format(case="c1", track="AV", cat="av", i=i, x=0.5 * i, psi=0.0, length=4.5))
+        rows.append(good.format(case="c1", track="ok", cat="car", i=i, x=20 + 0.5 * i, psi=0.0, length=4.5))
+        bad = {
+            "6": dict(x="abc" if i == 2 else 40.0),
+            "7": dict(x="nan" if i == 3 else 50.0),
+            "8": dict(psi="inf" if i == 1 else 0.0),
+            "9": dict(length=0.0),
+            "10": dict(i="1.5" if i == 4 else i),
+        }
+        for track, cells in bad.items():
+            fields = dict(case="c1", track=track, cat="car", i=i, x=60.0, psi=0.0, length=4.5) | cells
+            rows.append(good.format(**fields))
+    result = adapt_external([_dataset_csv(tmp_path, rows)])
+    (scenario,) = result.scenarios
+    assert sorted(scenario.agents) == ["AV", "ok"]
+    assert [s.x for s in scenario.agents["AV"]] == [0.0, 0.5, 1.0, 1.5, 2.0]
+    assert len(scenario.agents["ok"]) == 5
+    assert [(i.line, i.scenario_id, i.message) for i in result.issues] == [
+        (None, "c1", f"track {track}: malformed data ({reason}); track skipped")
+        for track, reason in (
+            ("10", "invalid literal for int() with base 10: '1.5'"),
+            ("6", "could not convert string to float: 'abc'"),
+            ("7", "x must be finite for agent '7'"),
+            ("8", "math domain error"),
+            ("9", "footprint dimensions must be > 0"),
+        )
+    ]
+
+
+def test_timestamps_beyond_the_clock_range_are_row_errors():
+    text = f"{HEADER}\ns1,A,vehicle,0.0,0,0,5,0,4,2\ns1,A,vehicle,1e15,0,0,5,0,4,2\ns1,A,vehicle,1e306,0,0,5,0,4,2\n"
+    result = parse_canonical(text)
+    assert [(i.line, i.message) for i in result.issues] == [
+        (3, "t must be < 1e+14, got 1000000000000000.0"),
+        (4, "t must be < 1e+14, got 1e+306"),
+    ]
+    assert len(result.scenarios[0].agents["A"]) == 1
+
+
+def _derive_kinematics_loop(positions):
+    """Frame-by-frame central differences: the reference for derive_kinematics."""
+    out, last_heading, n = [], 0.0, len(positions)
+    for i in range(n):
+        (t0, x0, y0), (t1, x1, y1) = positions[max(0, i - 1)], positions[min(n - 1, i + 1)]
+        vx, vy = (x1 - x0) / (t1 - t0), (y1 - y0) / (t1 - t0)
+        speed = math.hypot(vx, vy)
+        if speed >= 1e-3:
+            last_heading = math.atan2(vy, vx)
+        out.append((speed, last_heading))
+    return out
+
+
+_COORD = st.one_of(st.sampled_from([0.0, 1e-5]), st.floats(-1e4, 1e4))  # repeats give near-zero speeds
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_COORD, _COORD), min_size=2, max_size=30))
+def test_derive_kinematics_matches_the_loop_exactly(points):
+    positions = [(0.1 * i, x, y) for i, (x, y) in enumerate(points)]
+    assert derive_kinematics(positions) == _derive_kinematics_loop(positions)
+
+
+def test_derive_kinematics_rejects_repeated_timestamps():
+    with pytest.raises(ValueError, match="timestamps repeat"):
+        derive_kinematics([(0.0, 0.0, 0.0), (0.1, 1.0, 0.0), (0.0, 2.0, 0.0)])
