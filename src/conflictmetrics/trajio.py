@@ -105,26 +105,20 @@ def _parse_float(raw: str, name: str) -> float:
 
 def _rows_from(stream: str | TextIO) -> Iterable[tuple[int, list[str]]]:
     """(line number, cells) of every line that is neither blank nor a '#'
-    comment, read by one csv.reader pass. Each line is one record: a line
-    whose quoted field is left open is parsed on its own, as if the text
-    ended there, never joined with the next one."""
+    comment. Each line is one record, never joined with the next one: a
+    line whose quoted field is left open is parsed as if the text ended
+    there. A line without a quote or an inner carriage return splits on its
+    commas, which is what the csv module gives for it."""
     text = stream if isinstance(stream, str) else stream.read()
-    taken: list[tuple[int, str]] = []  # the lines the reader took for its next row
-
-    def data_lines() -> Iterable[str]:
-        for lineno, line in enumerate(io.StringIO(text), start=1):
-            stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
-                taken.append((lineno, line))
-                yield line
-
-    for row in csv.reader(data_lines()):
-        if len(taken) == 1:
-            yield taken[0][0], row
+    for lineno, line in enumerate(io.StringIO(text), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        body = line.rstrip("\r\n")
+        if '"' in body or "\r" in body:
+            yield lineno, next(csv.reader([line]))
         else:
-            for lineno, line in taken:
-                yield lineno, next(csv.reader([line]))
-        taken.clear()
+            yield lineno, body.split(",")
 
 
 def parse_canonical(stream: str | TextIO) -> ParseResult:
@@ -397,7 +391,7 @@ _DATASET_CELLS = ("case_id", "track_id", "timestep", "x", "y", "vx", "vy", "psi_
 # a record is (line, has_vel, has_psi, *_DATASET_CELLS); positions in it
 _LINE, _CASE, _TRACK, _STEP = 0, 3, 4, 5
 
-# Largest accepted |timestep|: its time must stay below MAX_T_S.
+# |timestep| must stay below this, so its time stays below MAX_T_S.
 _MAX_TIMESTEP = int(MAX_T_S * 10)
 
 
@@ -495,8 +489,8 @@ def _adapt_track(
     is skipped with a diagnostic. A malformed cell or an invalid frame
     raises ValueError or TypeError, the first in record order."""
     steps = [int(rec[_STEP]) for rec in recs]
-    if max(map(abs, steps)) > _MAX_TIMESTEP:
-        raise ValueError(f"timestep beyond {_MAX_TIMESTEP}")
+    if max(map(abs, steps)) >= _MAX_TIMESTEP:
+        raise ValueError(f"timestep must be below {_MAX_TIMESTEP} in magnitude")
     order = np.argsort(steps, kind="stable")
     steps = np.array(steps, dtype=np.int64)[order]
     repeat = np.flatnonzero(steps[1:] == steps[:-1]) + 1

@@ -431,6 +431,34 @@ def test_timestamps_beyond_the_clock_range_are_row_errors():
     assert len(result.scenarios[0].agents["A"]) == 1
 
 
+def test_open_quote_ends_with_its_line_however_much_text_follows():
+    """A quote left open never swallows later lines, so the csv module's
+    field size limit (131,072 characters) cannot be reached."""
+    rows = [f"s1,A,vehicle,{i / 10:.1f},{i},0,5,0,4,2" for i in range(1, 6001)]
+    assert sum(len(row) + 1 for row in rows) > 131_072
+    text = "\n".join([HEADER, 's1,A,vehicle,0.0,"1,0,5,0,4,2', *rows]) + "\n"
+    result = parse_canonical(text)
+    assert [(i.line, i.message) for i in result.issues] == [
+        (2, "could not convert string to float: '1,0,5,0,4,2'"),
+    ]
+    assert [s.x for s in result.scenarios[0].agents["A"]] == list(map(float, range(1, 6001)))
+
+
+def test_adapt_timestep_bound_is_exclusive(tmp_path):
+    """|timestep| must stay below 1e15, so its time stays below the 1e14 s
+    clock limit; a track at the bound is skipped with one message."""
+    row = "c1,{track},car,{step},0.0,0.0,5.0,0.0,0.0,4.5,2.0"
+    steps = {"AV": (0, 1), "near": (10**15 - 2, 10**15 - 1), "at": (0, 10**15), "neg": (-(10**15), 0)}
+    rows = [row.format(track=track, step=step) for track, pair in steps.items() for step in pair]
+    result = adapt_external([_dataset_csv(tmp_path, rows)])
+    (scenario,) = result.scenarios
+    assert sorted(scenario.agents) == ["AV", "near"]
+    assert [i.message for i in result.issues] == [
+        f"track {track}: malformed data (timestep must be below 1000000000000000 in magnitude); track skipped"
+        for track in ("at", "neg")
+    ]
+
+
 def _derive_kinematics_loop(positions):
     """Frame-by-frame central differences: the reference for derive_kinematics."""
     out, last_heading, n = [], 0.0, len(positions)
