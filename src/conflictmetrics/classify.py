@@ -1,19 +1,28 @@
-"""Risk-level classification and per-event aggregation.
+"""Risk-level classification, per-event aggregation and the collision filter.
 
 The four-level frame classification gates everything on the conflict
 predicate Q: frames failing Q are Non-Conflict regardless of geometry, a
 frame with footprint contact is a Crash, and the remaining frames split into
 Critical (evasive time at most tem_star with non-negative intrusion depth)
 versus Potential conflicts.
+
+classify_frame and extract_event are the one-pair reference on FrameMetrics;
+corpus_events and filter_collision_scenarios compute the same results for a
+whole corpus on metric columns, one kernel pass per chunk of joined pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Hashable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .metrics import FrameMetrics, MetricsConfig
+import numpy as np
+
+from .metrics import ContactRegion, FrameMetrics, MetricsConfig, PetGridError, frame_columns, joined_pairs, pet
+
+if TYPE_CHECKING:
+    from .trajio import Scenario
 
 
 class RiskLevel(IntEnum):
@@ -109,28 +118,101 @@ def extract_event(
     )
 
 
-@dataclass(frozen=True)
-class CollisionRemoval:
-    """One filtered event: the pair key and its first overlapping frame time."""
+def classify_frames(columns: dict[str, np.ndarray], cfg: MetricsConfig = MetricsConfig()) -> np.ndarray:
+    """classify_frame over the metric columns of many frames (frame_columns):
+    one RiskLevel value per frame, as integers."""
+    return np.select(
+        [columns["overlap"], ~columns["q_active"], (columns["tem"] <= cfg.tem_star) & (columns["in_depth"] >= 0.0)],
+        [RiskLevel.CRASH, RiskLevel.NON_CONFLICT, RiskLevel.CRITICAL_CONFLICT],
+        RiskLevel.POTENTIAL_CONFLICT,
+    )
 
-    key: Hashable
+
+def _first_extreme(values: np.ndarray, starts: np.ndarray, reduce: np.ufunc) -> list[int]:
+    """Per segment of values (segments begin at starts), the index of the
+    first defined value equal to the segment's extreme under reduce
+    (np.maximum or np.minimum), NaN being undefined; len(values) for a
+    segment without a defined value. This is extract_event's strict
+    comparison walk: the earliest frame wins a tie."""
+    defined = ~np.isnan(values)
+    filled = np.where(defined, values, -np.inf if reduce is np.maximum else np.inf)
+    extreme = np.repeat(reduce.reduceat(filled, starts), np.diff(starts, append=len(values)))
+    index = np.where(defined & (filled == extreme), np.arange(len(values)), len(values))
+    return np.minimum.reduceat(index, starts).tolist()
+
+
+def _pair_pet(scenario: Scenario, pair: tuple[str, str], cfg: MetricsConfig, pet_skipped: list | None) -> float | None:
+    track_a, track_b = scenario.agents[pair[0]], scenario.agents[pair[1]]
+    if len(track_a) < 2 or len(track_b) < 2:
+        return None
+    try:
+        return pet(track_a, track_b, cfg)
+    except PetGridError as exc:
+        if pet_skipped is not None:
+            pet_skipped.append((scenario.scenario_id, *pair, str(exc)))
+        return None
+
+
+def corpus_events(
+    scenarios: Iterable[Scenario],
+    cfg: MetricsConfig = MetricsConfig(),
+    pet_skipped: list[tuple[str, str, str, str]] | None = None,
+) -> list[ConflictEvent]:
+    """The event of every pair with common frames, scenario by scenario in
+    Scenario.pairs order: bit for bit extract_event of compute_pair_frames
+    with the pair's pet, computed as one kernel pass (frame_columns) and a few
+    segment reductions per chunk of joined pairs. A pair whose PET raster
+    would be too fine gets pet None and, when pet_skipped is given, an entry
+    (scenario_id, agent_a, agent_b, message) there."""
+    events = []
+    pairs = (((s, pair), s.agents[pair[0]], s.agents[pair[1]]) for s in scenarios for pair in s.pairs())
+    for keys, a, b, bounds in joined_pairs(pairs):
+        columns = frame_columns(a, b, cfg)
+        starts = bounds[:-1]
+        at_mei = _first_extreme(columns["mei"], starts, np.maximum)
+        at_act = _first_extreme(columns["act"], starts, np.minimum)
+        peaks = np.maximum.reduceat(classify_frames(columns, cfg), starts).tolist()
+        # one trailing None stands for "no defined value" (index len(a))
+        t, mei, act = ([*columns[name].tolist(), None] for name in ("t", "mei", "act"))
+        for (scenario, pair), i_mei, i_act, peak, count in zip(keys, at_mei, at_act, peaks, np.diff(bounds).tolist()):
+            events.append(ConflictEvent(
+                scenario_id=scenario.scenario_id,
+                agent_pair=pair,
+                mei_max=mei[i_mei],
+                t_mei_max=t[i_mei],
+                act_min=act[i_act],
+                t_act_min=t[i_act],
+                pet=_pair_pet(scenario, pair, cfg, pet_skipped),
+                peak_level=RiskLevel(peak),
+                frame_count=count,
+            ))
+    return events
+
+
+@dataclass(frozen=True, order=True)
+class CollisionRemoval:
+    """One pair with footprint overlap and its first overlapping frame time."""
+
+    scenario_id: str
+    agent_pair: tuple[str, str]
     first_overlap_t: float
 
 
-def filter_collisions(
-    frames_by_pair: dict,
-) -> tuple[dict, list[CollisionRemoval]]:
-    """Drop events containing any frame with footprint overlap.
-
-    Returns the retained map (same keys, same frame lists) and the removal
-    report. Grazing contact counts as overlap (closed-set semantics).
-    """
-    kept: dict = {}
-    removed: list[CollisionRemoval] = []
-    for key, frames in frames_by_pair.items():
-        overlap_ts = [fm.t for fm in frames if fm.overlap]
-        if overlap_ts:
-            removed.append(CollisionRemoval(key=key, first_overlap_t=min(overlap_ts)))
-        else:
-            kept[key] = frames
-    return kept, removed
+def filter_collision_scenarios(scenarios: Sequence[Scenario]) -> tuple[list[Scenario], list[CollisionRemoval]]:
+    """Drop every scenario in which the footprints of some pair overlap at a
+    common frame; grazing contact counts (closed test). Returns the kept
+    scenarios, sorted by id, and one sorted CollisionRemoval per overlapping
+    pair. The overlap test is one ContactRegion pass per chunk of joined
+    pairs."""
+    removals = []
+    pairs = (((s.scenario_id, pair), s.agents[pair[0]], s.agents[pair[1]]) for s in scenarios for pair in s.pairs())
+    for keys, a, b, bounds in joined_pairs(pairs):
+        overlap = ContactRegion(a, b).overlap
+        starts = bounds[:-1]
+        hit = np.logical_or.reduceat(overlap, starts).tolist()
+        first = np.minimum.reduceat(np.where(overlap, a.t, np.inf), starts).tolist()
+        removals.extend(CollisionRemoval(*key, t) for key, h, t in zip(keys, hit, first) if h)
+    removals.sort()
+    removed = {r.scenario_id for r in removals}
+    kept = sorted((s for s in scenarios if s.scenario_id not in removed), key=lambda s: s.scenario_id)
+    return kept, removals

@@ -25,16 +25,11 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .classify import ConflictEvent, RiskLevel, classify_frame, extract_event
-from .metrics import (
-    FrameMetrics,
-    MetricsConfig,
-    PetGridError,
-    compute_pair_frames,
-    overlap_frames,
-    pet,
-)
+from .classify import ConflictEvent, RiskLevel, classify_frames, corpus_events, filter_collision_scenarios
+from .metrics import MetricsConfig, frame_columns, joined_pairs
 from .stats import build_threshold_table, threshold_table_csv
 from .trajio import (
     ParseResult,
@@ -145,11 +140,6 @@ def _write_manifest(
     )
 
 
-def _sorted_pairs(scenario: Scenario) -> list[tuple[str, str]]:
-    ids = sorted(scenario.agents)
-    return [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))]
-
-
 # ---------------------------------------------------------------------------
 # frames
 # ---------------------------------------------------------------------------
@@ -157,16 +147,14 @@ def _sorted_pairs(scenario: Scenario) -> list[tuple[str, str]]:
 FRAME_COLUMNS = ["t", "in_depth", "tem", "mei", "act", "q_active", "overlap", "risk_level"]
 
 
-def _frame_row(fm: FrameMetrics, cfg: MetricsConfig) -> list[str]:
+def _frame_rows(columns: dict[str, np.ndarray], cfg: MetricsConfig) -> list[list[str]]:
+    """Rows of frames.csv from the metric columns of one pair."""
+    values = [columns[name].tolist() for name in ("t", "in_depth", "tem", "mei", "act", "q_active", "overlap")]
+    labels = [RiskLevel(level).label for level in classify_frames(columns, cfg).tolist()]
     return [
-        format_time(round(fm.t * 1e4)),
-        _fmt(fm.in_depth),
-        _fmt(fm.tem),
-        _fmt(fm.mei),
-        _fmt(fm.act),
-        _fmt_bool(fm.q_active),
-        _fmt_bool(fm.overlap),
-        classify_frame(fm, cfg).label,
+        [format_time(round(t * 1e4)), *(_fmt(None if v != v else v) for v in numbers),
+         _fmt_bool(q), _fmt_bool(overlap), label]
+        for t, *numbers, q, overlap, label in zip(*values, labels)
     ]
 
 
@@ -193,7 +181,7 @@ def cmd_frames(args: argparse.Namespace) -> int:
             if agent_id not in scenario.agents:
                 raise NotFoundError(f"agent {agent_id!r} not in scenario {scenario.scenario_id!r}")
     else:
-        pairs = _sorted_pairs(scenario)
+        pairs = scenario.pairs()
         if len(pairs) != 1:
             raise NotFoundError(
                 f"scenario {scenario.scenario_id!r} holds {len(scenario.agents)} agents; "
@@ -201,8 +189,9 @@ def cmd_frames(args: argparse.Namespace) -> int:
             )
         pair = pairs[0]
 
-    frames = compute_pair_frames(scenario.agents[pair[0]], scenario.agents[pair[1]], cfg)
-    rows = [_frame_row(fm, cfg) for fm in frames]
+    rows = []
+    for _, a, b, _ in joined_pairs([(pair, scenario.agents[pair[0]], scenario.agents[pair[1]])]):
+        rows.extend(_frame_rows(frame_columns(a, b, cfg), cfg))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -236,51 +225,65 @@ EVENT_COLUMNS = [
 ]
 
 
-def _scenario_events(
-    scenario: Scenario,
-    cfg: MetricsConfig,
-    pet_skipped: list[tuple[str, str, str, str]] | None = None,
-) -> list[ConflictEvent]:
-    """Events of every pair with common frames. A pair whose PET raster would
-    be too fine gets an empty pet and, when pet_skipped is given, an entry
-    (scenario_id, agent_a, agent_b, message) there."""
-    events = []
-    for pair in _sorted_pairs(scenario):
-        track_a = scenario.agents[pair[0]]
-        track_b = scenario.agents[pair[1]]
-        frames = compute_pair_frames(track_a, track_b, cfg)
-        if not frames:
-            continue
-        pet_value = None
-        if len(track_a) >= 2 and len(track_b) >= 2:
-            try:
-                pet_value = pet(track_a, track_b, cfg)
-            except PetGridError as exc:
-                if pet_skipped is not None:
-                    pet_skipped.append((scenario.scenario_id, pair[0], pair[1], str(exc)))
-        events.append(extract_event(scenario.scenario_id, pair, frames, pet_value, cfg))
-    return events
+def _runs(scenarios: list[Scenario], jobs: int) -> list[list[Scenario]]:
+    """At most `jobs` contiguous runs of the scenarios, balanced by the
+    frames their pairs span (each track counts once per pair it is in)."""
+    weight = np.cumsum([sum(map(len, s.agents.values())) * (len(s.agents) - 1) for s in scenarios])
+    cuts = np.searchsorted(weight, weight[-1] * np.arange(1, jobs) / jobs) + 1
+    edges = [0, *sorted(set(np.minimum(cuts, len(scenarios)).tolist())), len(scenarios)]
+    return [scenarios[lo:hi] for lo, hi in zip(edges, edges[1:]) if lo < hi]
 
 
-def _scenario_events_task(
-    payload: tuple[Scenario, MetricsConfig],
-) -> tuple[list[ConflictEvent], list[tuple[str, str, str, str]]]:
+def _events_of(run: list[Scenario], cfg: MetricsConfig) -> tuple[list[ConflictEvent], list[tuple[str, str, str, str]]]:
     skipped: list[tuple[str, str, str, str]] = []
-    return _scenario_events(*payload, skipped), skipped
+    return corpus_events(run, cfg, skipped), skipped
+
+
+def _events_worker(send, run: list[Scenario], cfg: MetricsConfig) -> None:
+    """A forked worker: sends back _events_of its run, or the exception
+    that raised."""
+    try:
+        result = _events_of(run, cfg)
+    except Exception as exc:  # raised again in the parent
+        result = exc
+    send.send(result)
 
 
 def _collect_events(
     scenarios: list[Scenario], cfg: MetricsConfig, jobs: int
 ) -> tuple[list[ConflictEvent], list[tuple[str, str, str, str]]]:
     """Events of every scenario, sorted, and the pairs left without PET
-    because the grid was too fine for them."""
-    if jobs > 1 and len(scenarios) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    because the grid was too fine for them. With jobs > 1 the scenarios
+    split into contiguous runs, one per process: this process takes the
+    last, and jobs - 1 forked workers the others. A forked worker inherits
+    its run, so no scenario is pickled."""
+    *others, own = _runs(scenarios, jobs) if jobs > 1 and len(scenarios) > 1 else [scenarios]
+    workers = []
+    if others:
+        import multiprocessing
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scenario_events_task, [(s, cfg) for s in scenarios]))
-    else:
-        results = [_scenario_events_task((s, cfg)) for s in scenarios]
+        fork = multiprocessing.get_context("fork")
+        for run in others:
+            receive, send = fork.Pipe(duplex=False)
+            worker = fork.Process(target=_events_worker, args=(send, run, cfg))
+            worker.start()
+            send.close()
+            workers.append((worker, receive))
+    results = []
+    try:
+        results.append(_events_of(own, cfg))
+        # read every result before joining: a worker exits only once its result is read
+        results.extend(receive.recv() for _, receive in workers)
+    except BaseException:
+        for worker, _ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker, _ in workers:
+            worker.join()
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
     events = [event for chunk, _ in results for event in chunk]
     events.sort(key=lambda e: (e.scenario_id, e.agent_pair))
     pet_skipped = sorted(entry for _, skipped in results for entry in skipped)
@@ -434,16 +437,6 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _scenario_overlaps(scenario: Scenario) -> list[tuple[str, str, str, float]]:
-    """(scenario_id, agent_a, agent_b, first_overlap_t) per overlapping pair."""
-    removals = []
-    for pair in _sorted_pairs(scenario):
-        t, overlap = overlap_frames(scenario.agents[pair[0]], scenario.agents[pair[1]])
-        if overlap.any():
-            removals.append((scenario.scenario_id, pair[0], pair[1], float(t[overlap].min())))
-    return removals
-
-
 def cmd_filter_collisions(args: argparse.Namespace) -> int:
     started = _utcnow()
     cfg = _config_from_args(args)
@@ -451,20 +444,7 @@ def cmd_filter_collisions(args: argparse.Namespace) -> int:
     if not scenarios:
         raise EmptyInputError("no scenarios in input")
 
-    if args.jobs > 1 and len(scenarios) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(_scenario_overlaps, scenarios))
-    else:
-        chunks = [_scenario_overlaps(s) for s in scenarios]
-
-    removals = sorted(r for chunk in chunks for r in chunk)
-    removed_ids = {r[0] for r in removals}
-    kept = sorted(
-        (s for s in scenarios if s.scenario_id not in removed_ids),
-        key=lambda s: s.scenario_id,
-    )
+    kept, removals = filter_collision_scenarios(scenarios)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -472,7 +452,7 @@ def cmd_filter_collisions(args: argparse.Namespace) -> int:
     _write_csv(
         out_dir / "removals.csv",
         ["scenario_id", "agent_a", "agent_b", "first_overlap_t"],
-        [[sid, a, b, format_time(round(t * 1e4))] for sid, a, b, t in removals],
+        [[r.scenario_id, *r.agent_pair, format_time(round(r.first_overlap_t * 1e4))] for r in removals],
     )
     _write_manifest(
         out_dir,
@@ -522,7 +502,8 @@ def _add_common(parser: argparse.ArgumentParser, needs_pet_grid: bool = True) ->
                         help="conflict-zone raster resolution in meters (default 0.1)")
     parser.add_argument("--out", required=True, metavar="DIR", help="output directory")
     parser.add_argument("--jobs", default=1, type=_checked(int, lambda v: v >= 1, ">= 1"),
-                        help="parallel scenario workers")
+                        help="worker processes for events, each taking one contiguous run of "
+                             "scenarios; the other commands run in one process")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import abc
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -51,6 +51,13 @@ MAX_T_S = 1e14
 # temporaries at 64 kB whatever the track length, so PET adds nothing to the
 # peak resident set beyond its rasters.
 PET_BATCH_CELLS = 1 << 13
+
+# Frames of the a tracks per chunk of joined pairs (joined_pairs), which
+# bounds the common frames of one kernel pass. The widest temporaries of a
+# pass are the (8, N) float64 corner arrays of ContactRegion.nearest, so this
+# keeps each at most at the 64 kB of a PET batch and a corpus of any size
+# peaks like one chunk.
+KERNEL_BATCH_FRAMES = PET_BATCH_CELLS // 8
 
 
 @dataclass(frozen=True)
@@ -145,6 +152,11 @@ class FrameMetrics:
     d_ct: float | None
     d_a: float | None
     d_b: float | None
+
+
+_FRAME_FIELDS = tuple(FrameMetrics.__dataclass_fields__)
+# positions in _FRAME_FIELDS of the fields that can be undefined
+_OPTIONAL_FIELDS = tuple(k for k, name in enumerate(_FRAME_FIELDS) if name not in ("t", "q_active", "overlap"))
 
 
 class PetGridError(ValueError):
@@ -264,6 +276,8 @@ def _unpickle_track(agent_id: str, floats: np.ndarray, agent_type: np.ndarray) -
 
 # An agent's frames; TrackArrays is the form the kernels run on.
 Track = Sequence[AgentState]
+
+K = TypeVar("K")
 
 
 def as_arrays(track: Track) -> TrackArrays:
@@ -500,12 +514,11 @@ def _mei_values(depth: np.ndarray, tem: np.ndarray, cfg: MetricsConfig) -> np.nd
     return np.where(ok, value, np.nan)
 
 
-def _optional(values: np.ndarray) -> list[float | None]:
-    return [None if v != v else v for v in values.tolist()]
-
-
-def _frames(a: TrackArrays, b: TrackArrays, cfg: MetricsConfig) -> list[FrameMetrics]:
-    """FrameMetrics of frame-aligned tracks, every quantity computed once per frame."""
+def frame_columns(a: TrackArrays, b: TrackArrays, cfg: MetricsConfig) -> dict[str, np.ndarray]:
+    """Every FrameMetrics field of frame-aligned tracks as a column, NaN
+    where a value is undefined, each quantity computed once per frame on one
+    ContactRegion. Frames are independent of each other, so the pairs of a
+    corpus laid end to end (joined_pairs) run in one call."""
     region = ContactRegion(a, b)
     depth, d_ct, d_a, d_b = region.in_depth_parts(cfg.d_safe)
     tem = region.tem(cfg.d_safe)
@@ -513,19 +526,17 @@ def _frames(a: TrackArrays, b: TrackArrays, cfg: MetricsConfig) -> list[FrameMet
         q = np.ones(len(a), dtype=bool)
     else:
         q = region.approaching()
-    columns = (
-        a.t.tolist(),
-        _optional(depth),
-        _optional(tem),
-        _optional(_mei_values(depth, tem, cfg)),
-        _optional(region.act()),
-        q.tolist(),
-        region.overlap.tolist(),
-        _optional(d_ct),
-        _optional(d_a),
-        _optional(d_b),
-    )
-    return [FrameMetrics(*row) for row in zip(*columns)]
+    return {"t": a.t, "in_depth": depth, "tem": tem, "mei": _mei_values(depth, tem, cfg), "act": region.act(),
+            "q_active": q, "overlap": region.overlap, "d_ct": d_ct, "d_a": d_a, "d_b": d_b}
+
+
+def _frames(a: TrackArrays, b: TrackArrays, cfg: MetricsConfig) -> list[FrameMetrics]:
+    """FrameMetrics of frame-aligned tracks, from their frame_columns."""
+    columns = frame_columns(a, b, cfg)
+    values = [columns[name].tolist() for name in _FRAME_FIELDS]
+    for k in _OPTIONAL_FIELDS:
+        values[k] = [None if v != v else v for v in values[k]]
+    return [FrameMetrics(*row) for row in zip(*values)]
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +655,64 @@ def compute_pair_frames(
     if not len(ia):
         return []
     return _frames(a.take(ia), b.take(ib), cfg)
+
+
+def joined_pairs(pairs: Iterable[tuple[K, Track, Track]]) -> Iterator[tuple[list[K], TrackArrays, TrackArrays, np.ndarray]]:
+    """The common frames of keyed pairs (key, track_a, track_b) laid end to
+    end, in chunks of pairs whose a tracks hold at most KERNEL_BATCH_FRAMES
+    frames together (a pair with more is a chunk of its own). Yields per
+    chunk the keys of its pairs with common frames, one frame-aligned
+    TrackArrays per side, and the segment bounds: pair k holds frames
+    bounds[k]:bounds[k + 1], in compute_pair_frames' order."""
+    keys: list[K] = []
+    chunk: list[tuple[TrackArrays, TrackArrays]] = []
+    width = 0
+    for key, track_a, track_b in pairs:
+        a, b = as_arrays(track_a), as_arrays(track_b)
+        if chunk and width + len(a) > KERNEL_BATCH_FRAMES:
+            yield from _join(keys, chunk)
+            keys, chunk, width = [], [], 0
+        keys.append(key)
+        chunk.append((a, b))
+        width += len(a)
+    if chunk:
+        yield from _join(keys, chunk)
+
+
+def _join(keys: list[K], pairs: list[tuple[TrackArrays, TrackArrays]]
+          ) -> Iterator[tuple[list[K], TrackArrays, TrackArrays, np.ndarray]]:
+    """One chunk of joined_pairs: _common_frames of every pair at once, on
+    the distinct tracks of the chunk laid end to end."""
+    slot: dict[int, int] = {}
+    tracks: list[TrackArrays] = []
+    for track in (track for pair in pairs for track in pair):
+        if slot.setdefault(id(track), len(tracks)) == len(tracks):
+            tracks.append(track)
+    ka, kb = np.array([[slot[id(a)], slot[id(b)]] for a, b in pairs], dtype=np.int64).T
+    size = np.array([len(track) for track in tracks], dtype=np.int64)
+    start = np.cumsum(size) - size
+    frames = TrackArrays("", *(np.concatenate([getattr(tr, name) for tr in tracks]) for name in _TRACK_COLUMNS))
+    # a (track, timestamp) code per frame; a timestamp repeated in a track
+    # resolves to its last frame there
+    times, rank = np.unique(frames.t_dms, return_inverse=True)
+    code = np.repeat(np.arange(len(tracks)), size) * len(times) + rank
+    order = np.argsort(code, kind="stable")
+    last = np.append(code[order][1:] != code[order][:-1], True)
+    codes, last_frame = code[order][last], order[last]
+    # every frame of each pair's a track, looked up among b's frames
+    length = size[ka]
+    segment = np.repeat(np.arange(len(pairs)), length)
+    ia = np.arange(length.sum()) + np.repeat(start[ka] - (np.cumsum(length) - length), length)
+    query = kb[segment] * len(times) + rank[ia]
+    pos = np.minimum(np.searchsorted(codes, query), len(codes) - 1)
+    found = codes[pos] == query
+    ia, ib, segment = ia[found], last_frame[pos[found]], segment[found]
+    # each segment in a's time order, stably, as _common_frames
+    order = np.lexsort((frames.t[ia], segment))
+    count = np.bincount(segment, minlength=len(pairs))
+    if ia.size:
+        yield ([key for key, n in zip(keys, count.tolist()) if n], frames.take(ia[order]), frames.take(ib[order]),
+               np.cumsum([0, *count[count > 0].tolist()]))
 
 
 def overlap_frames(track_a: Track, track_b: Track) -> tuple[np.ndarray, np.ndarray]:

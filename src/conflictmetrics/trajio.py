@@ -89,6 +89,11 @@ class Scenario:
     agents: dict[str, Track]
     dt: float = 0.1
 
+    def pairs(self) -> list[tuple[str, str]]:
+        """Every agent pair (a, b) with a < b, in sorted order."""
+        ids = sorted(self.agents)
+        return [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))]
+
 
 @dataclass
 class ParseResult:
@@ -105,17 +110,20 @@ def _parse_float(raw: str, name: str) -> float:
 
 def _rows_from(stream: str | TextIO) -> Iterable[tuple[int, list[str]]]:
     """(line number, cells) of every line that is neither blank nor a '#'
-    comment. Each line is one record, never joined with the next one: a
-    line whose quoted field is left open is parsed as if the text ended
-    there. A line without a quote or an inner carriage return splits on its
-    commas, which is what the csv module gives for it."""
-    text = stream if isinstance(stream, str) else stream.read()
-    for lineno, line in enumerate(io.StringIO(text), start=1):
+    comment. Lines end at \n, \r or \r\n, whatever newline mode a stream
+    was opened in (universal newlines, as open() reads by default). Each line
+    is one record, never joined with the next one: a line whose quoted field
+    is left open is parsed as if the text ended there. A line without a
+    quote splits on its commas, which is what the csv module gives for it."""
+    lines = io.StringIO(stream, newline=None) if isinstance(stream, str) else stream
+    # a line of a stream read without universal newlines can hold a bare \r
+    lines = (part for line in lines for part in (io.StringIO(line, newline=None) if "\r" in line else (line,)))
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        body = line.rstrip("\r\n")
-        if '"' in body or "\r" in body:
+        body = line.rstrip("\n")
+        if '"' in body:
             yield lineno, next(csv.reader([line]))
         else:
             yield lineno, body.split(",")
@@ -417,9 +425,9 @@ def adapt_external(
     # case_id -> track_id -> records
     raw: dict[str, dict[str, list[tuple]]] = {}
     for path in paths:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = _rows_from(fh)
+            _, header = next(rows, (None, None))
             if header is None:
                 raise SchemaError(f"{path}: empty file")
             for required in _DATASET_REQUIRED:
@@ -431,16 +439,16 @@ def adapt_external(
             picked = [colindex.get(name, width) for name in _DATASET_CELLS]
             pick = itemgetter(*picked)
             absent = width in picked  # an absent column reads the None appended to each row
-            line = 1  # records are numbered from 2, blank lines not counted
-            for row in reader:
-                if not row:
-                    continue
-                line += 1
+            for line, row in rows:
                 if len(row) != width:  # a short row reads None, extra cells are ignored
                     row = (row + [None] * width)[:width]
                 if absent:
                     row.append(None)
                 rec = (line, *flags, *pick(row))
+                if rec[_CASE] is None or rec[_TRACK] is None:
+                    issues.append(ParseIssue(line=line, scenario_id=rec[_CASE],
+                                             message="row too short to hold case_id and track_id; row skipped"))
+                    continue
                 raw.setdefault(rec[_CASE], {}).setdefault(rec[_TRACK], []).append(rec)
 
     scenarios: list[Scenario] = []

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conflictmetrics.cli import _scenario_events, main
-from conflictmetrics.classify import RiskLevel
+from conflictmetrics.classify import RiskLevel, corpus_events
+from conflictmetrics.cli import main
 from conflictmetrics.geometry import (
     OrientedBox,
     Vec2,
@@ -272,7 +272,7 @@ def dataset_events():
         return False
 
     kept = [s for s in result.scenarios if not has_overlap(s)]
-    events = [event for scenario in kept for event in _scenario_events(scenario, cfg)]
+    events = corpus_events(kept, cfg)
     return [e for e in events if e.mei_max is not None and e.mei_max > 0]
 
 

@@ -1,12 +1,14 @@
 import pytest
 
 from conflictmetrics.classify import (
+    CollisionRemoval,
     RiskLevel,
     classify_frame,
     extract_event,
-    filter_collisions,
+    filter_collision_scenarios,
 )
-from conflictmetrics.metrics import FrameMetrics
+from conflictmetrics.metrics import AgentState, FrameMetrics
+from conflictmetrics.trajio import Scenario
 
 
 def frame(t=0.0, in_depth=None, tem=None, mei=None, act=None, q=True, overlap=False):
@@ -114,26 +116,34 @@ class TestExtractEvent:
         assert event.peak_level == RiskLevel.POTENTIAL_CONFLICT
 
 
-class TestFilterCollisions:
-    def test_event_with_overlap_removed(self):
-        frames_by_pair = {
-            ("s1", "A", "B"): [frame(t=0.0), frame(t=1.0, overlap=True), frame(t=2.0, overlap=True)],
-            ("s2", "A", "B"): [frame(t=0.0), frame(t=1.0)],
-        }
-        kept, removed = filter_collisions(frames_by_pair)
-        assert set(kept) == {("s2", "A", "B")}
-        assert len(removed) == 1
-        assert removed[0].key == ("s1", "A", "B")
-        assert removed[0].first_overlap_t == 1.0
+def pair_scenario(scenario_id, b_positions):
+    """A at the origin, B at each (t, x, y) in turn; both 4 x 2 m, heading east."""
+    return Scenario(scenario_id, {
+        "A": [AgentState("A", t, 0.0, 0.0, 5.0, 0.0, 4.0, 2.0) for t, _, _ in b_positions],
+        "B": [AgentState("B", t, x, y, 5.0, 0.0, 4.0, 2.0) for t, x, y in b_positions],
+    })
+
+
+class TestFilterCollisionScenarios:
+    def test_scenario_with_overlap_removed_at_first_overlap(self):
+        colliding = pair_scenario("s1", [(0.0, 10.0, 0.0), (1.0, 3.0, 0.0), (2.0, 1.0, 0.0)])
+        clean = pair_scenario("s2", [(0.0, 10.0, 0.0), (1.0, 9.0, 0.0)])
+        kept, removed = filter_collision_scenarios([colliding, clean])
+        assert kept == [clean]
+        assert removed == [CollisionRemoval("s1", ("A", "B"), 1.0)]
+
+    def test_grazing_contact_counts(self):
+        # B alongside A with the long sides touching: the gap is exactly 0
+        kept, removed = filter_collision_scenarios([pair_scenario("s1", [(0.0, 0.0, 5.0), (0.5, 0.0, 2.0)])])
+        assert kept == []
+        assert removed == [CollisionRemoval("s1", ("A", "B"), 0.5)]
 
     def test_near_miss_retained(self):
-        frames_by_pair = {("s1", "A", "B"): [frame(t=0.0, act=0.05)]}
-        kept, removed = filter_collisions(frames_by_pair)
-        assert len(kept) == 1
-        assert removed == []
+        scenario = pair_scenario("s1", [(0.0, 4.05, 0.0)])
+        assert filter_collision_scenarios([scenario]) == ([scenario], [])
 
-    def test_clean_corpus_is_noop(self):
-        frames_by_pair = {f"s{i}": [frame(t=0.0)] for i in range(5)}
-        kept, removed = filter_collisions(frames_by_pair)
-        assert kept == frames_by_pair
+    def test_clean_corpus_is_noop_and_sorted(self):
+        corpus = [pair_scenario(f"s{i}", [(0.0, 10.0 + i, 0.0)]) for i in (3, 1, 4, 0, 2)]
+        kept, removed = filter_collision_scenarios(corpus)
+        assert [s.scenario_id for s in kept] == ["s0", "s1", "s2", "s3", "s4"]
         assert removed == []

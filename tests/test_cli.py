@@ -3,7 +3,9 @@ import math
 
 import pytest
 
-from conflictmetrics.cli import EXIT_EMPTY, EXIT_NOT_FOUND, EXIT_OK, EXIT_SCHEMA, main
+from conflictmetrics.cli import EXIT_EMPTY, EXIT_NOT_FOUND, EXIT_OK, EXIT_SCHEMA, _runs, main
+from conflictmetrics.metrics import MetricsConfig
+from conflictmetrics.trajio import parse_canonical
 
 HEADER = "scenario_id,agent_id,agent_type,t,x,y,speed,heading,length,width"
 
@@ -336,3 +338,41 @@ def test_filter_collisions_help_names_whole_scenarios(capsys):
     text = " ".join(capsys.readouterr().out.split())
     assert "filter-collisions drop scenarios containing footprint overlap" in text
     assert "drop events" not in text
+
+
+def test_jobs_give_each_worker_one_contiguous_run(tmp_path):
+    equal = [f"s{i}" for i in range(4)]
+    rows = [row for sid in equal for row in _head_on_rows(sid)] + _crossing_rows() + _crash_rows()
+    src = tmp_path / "corpus.csv"
+    src.write_text("\n".join([HEADER] + rows) + "\n", encoding="utf-8")
+    with open(src, encoding="utf-8") as fh:
+        scenarios = parse_canonical(fh).scenarios
+    for jobs in range(1, 9):
+        runs = _runs(scenarios, jobs)
+        assert 1 <= len(runs) <= jobs and all(runs)
+        assert [s for run in runs for s in run] == scenarios
+    assert [[s.scenario_id for s in run] for run in _runs(scenarios[2:], 2)] == [["s0", "s1"], ["s2", "s3"]]
+    tables = set()
+    for jobs in (1, 2, 3):
+        assert main(["events", "--input", str(src), "--out", str(tmp_path / f"j{jobs}"), "--jobs", str(jobs)]) == EXIT_OK
+        tables.add((tmp_path / f"j{jobs}" / "events.csv").read_text())
+    assert len(tables) == 1
+
+
+def test_jobs_worker_error_is_raised_in_the_parent(tmp_path, monkeypatch):
+    import conflictmetrics.cli as cli
+
+    src = tmp_path / "corpus.csv"
+    src.write_text("\n".join([HEADER] + _head_on_rows("s0") + _head_on_rows("s1")) + "\n", encoding="utf-8")
+    with open(src, encoding="utf-8") as fh:
+        scenarios = parse_canonical(fh).scenarios
+    real = cli.corpus_events
+
+    def failing(run, cfg, skipped):
+        if run[0].scenario_id == "s0":  # the first run, which a forked worker takes
+            raise ValueError("scenario s0 failed")
+        return real(run, cfg, skipped)
+
+    monkeypatch.setattr(cli, "corpus_events", failing)
+    with pytest.raises(ValueError, match="scenario s0 failed"):
+        cli._collect_events(scenarios, MetricsConfig(), 2)

@@ -1,0 +1,200 @@
+"""The corpus pass against the one-pair reference.
+
+corpus_events joins the common frames of many pairs into one kernel pass
+and reduces the events on arrays; extract_event(compute_pair_frames(...))
+walks FrameMetrics one pair at a time. The two must give the same
+ConflictEvents bit for bit, and classify_frames the same level as
+classify_frame on every frame. filter_collision_scenarios must agree with
+the one-pair overlap view, overlap_frames.
+"""
+
+import dataclasses
+import math
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conflictmetrics import metrics
+from conflictmetrics.classify import (
+    CollisionRemoval,
+    classify_frame,
+    classify_frames,
+    corpus_events,
+    extract_event,
+    filter_collision_scenarios,
+)
+from conflictmetrics.metrics import (
+    AgentState,
+    MetricsConfig,
+    compute_pair_frames,
+    frame_columns,
+    joined_pairs,
+    overlap_frames,
+    pet,
+)
+from conflictmetrics.trajio import Scenario, parse_canonical
+
+GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+
+CONFIGS = (
+    MetricsConfig(),
+    MetricsConfig(d_safe=0.5),
+    MetricsConfig(q_predicate="always_true"),
+    MetricsConfig(mei_cap=0.5),
+    MetricsConfig(d_safe=0.5, q_predicate="always_true", mei_cap=0.2),
+)
+
+
+def reference_events(scenarios, cfg):
+    events = []
+    for scenario in scenarios:
+        for pair in scenario.pairs():
+            track_a, track_b = scenario.agents[pair[0]], scenario.agents[pair[1]]
+            frames = compute_pair_frames(track_a, track_b, cfg)
+            if frames:
+                value = pet(track_a, track_b, cfg) if len(track_a) >= 2 and len(track_b) >= 2 else None
+                events.append(extract_event(scenario.scenario_id, pair, frames, value, cfg))
+    return events
+
+
+def bits(events):
+    """Events with every float as its hex form, so -0.0 and 0.0 differ."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(e)) for e in events]
+
+
+def keyed_pairs(scenarios):
+    return [((s.scenario_id, pair), s.agents[pair[0]], s.agents[pair[1]]) for s in scenarios for pair in s.pairs()]
+
+
+def assert_corpus_matches_reference(scenarios, cfg):
+    assert bits(corpus_events(scenarios, cfg)) == bits(reference_events(scenarios, cfg))
+    expected = [classify_frame(fm, cfg) for _, a, b in keyed_pairs(scenarios) for fm in compute_pair_frames(a, b, cfg)]
+    got = [level for _, a, b, _ in joined_pairs(keyed_pairs(scenarios))
+           for level in classify_frames(frame_columns(a, b, cfg), cfg).tolist()]
+    assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# hypothesis: small scenarios with every degenerate case the reduction meets
+# ---------------------------------------------------------------------------
+
+poses = st.tuples(
+    st.integers(-20, 20).map(lambda k: 0.5 * k),   # x
+    st.integers(-20, 20).map(lambda k: 0.5 * k),   # y
+    st.sampled_from([0.0, 1.0, 5.0, 10.0]),        # speed
+    st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2, 0.3, -2.5]),
+)
+
+
+@st.composite
+def scenarios(draw):
+    """2-4 agents whose frames repeat poses (ties in MEI and ACT), may share
+    one velocity (no relative motion: every value undefined), repeat
+    timestamps, come in any order, or hold one frame."""
+    shared = draw(st.none() | st.tuples(st.sampled_from([1.0, 5.0]), st.sampled_from([0.0, 0.3])))
+    agents = {}
+    for k in range(draw(st.integers(2, 4))):
+        agent_id = f"a{k}"
+        pool = draw(st.lists(poses, min_size=1, max_size=3))
+        steps = draw(st.lists(st.integers(0, 6), min_size=1, max_size=8))
+        length, width = draw(st.sampled_from([(4.0, 2.0), (0.6, 0.6), (12.0, 2.5)]))
+        track = []
+        for step in steps:
+            x, y, v, h = draw(st.sampled_from(pool))
+            if shared is not None:
+                v, h = shared
+            track.append(AgentState(agent_id, step / 10, x, y, v, h, length, width))
+        agents[agent_id] = track
+    return Scenario(scenario_id=draw(st.sampled_from(["s1", "s2"])), agents=agents)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(scenarios(), min_size=1, max_size=3), st.sampled_from(CONFIGS), st.sampled_from([1, 3, 1024]))
+def test_corpus_events_equal_the_one_pair_reference(corpus, cfg, batch_frames):
+    with mock.patch.object(metrics, "KERNEL_BATCH_FRAMES", batch_frames):
+        assert_corpus_matches_reference(corpus, cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(scenarios(), min_size=1, max_size=3), st.sampled_from([1, 5, 1024]))
+def test_collision_filter_equals_the_one_pair_overlap_view(corpus, batch_frames):
+    expected = []
+    for (scenario_id, pair), a, b in keyed_pairs(corpus):
+        t, overlap = overlap_frames(a, b)
+        if overlap.any():
+            expected.append(CollisionRemoval(scenario_id, pair, float(t[overlap].min())))
+    with mock.patch.object(metrics, "KERNEL_BATCH_FRAMES", batch_frames):
+        kept, removals = filter_collision_scenarios(corpus)
+    assert removals == sorted(expected)
+    removed = {r.scenario_id for r in expected}
+    assert kept == sorted((s for s in corpus if s.scenario_id not in removed), key=lambda s: s.scenario_id)
+
+
+def _still(agent_id, times, x, y, v=5.0, heading=0.0):
+    return [AgentState(agent_id, t, x, y, v, heading, 4.0, 2.0) for t in times]
+
+
+def test_ties_undefined_values_single_frames_and_repeated_timestamps():
+    ties = Scenario("ties", {"A": _still("A", [0.0, 0.1, 0.2], 0.0, 0.0),
+                             "B": _still("B", [0.0, 0.1, 0.2], 30.0, 0.0, heading=math.pi)})
+    undefined = Scenario("undefined", {"A": _still("A", [0.0, 0.1], 0.0, 0.0),
+                                       "B": _still("B", [0.0, 0.1], 30.0, 5.0)})
+    single = Scenario("single", {"A": _still("A", [0.0, 0.1], 0.0, 0.0),
+                                 "B": _still("B", [0.1, 0.2], 20.0, 0.0, heading=math.pi)})
+    repeated = Scenario("repeated", {
+        "A": [*_still("A", [0.1], 2.0, 0.0), *_still("A", [0.0, 0.1], 0.0, 0.0)],
+        "B": _still("B", [0.1, 0.1, 0.0], 30.0, 0.0, heading=math.pi),
+    })
+    corpus = [ties, undefined, single, repeated]
+    for cfg in CONFIGS:
+        assert_corpus_matches_reference(corpus, cfg)
+    by_id = {e.scenario_id: e for e in corpus_events(corpus)}
+    assert by_id["ties"].t_mei_max == by_id["ties"].t_act_min == 0.0 and by_id["ties"].frame_count == 3
+    assert (by_id["undefined"].mei_max, by_id["undefined"].act_min) == (None, None)
+    assert by_id["single"].frame_count == 1
+    assert by_id["repeated"].frame_count == 3
+
+
+# ---------------------------------------------------------------------------
+# the seed-1 benchmark corpora
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def bench_corpus(tmp_path_factory):
+    """The canonical corpus of a benchmark workload at seed 1, written by the
+    benchmark's generator in its own interpreter."""
+
+    def load(workload):
+        out = tmp_path_factory.mktemp(workload)
+        subprocess.run([sys.executable, str(GEN), "--workload", workload, "--seed", "1", "--out", str(out)],
+                       check=True, capture_output=True)
+        with open(out / "corpus.csv", encoding="utf-8") as fh:
+            return parse_canonical(fh).scenarios
+
+    return load
+
+
+@pytest.mark.parametrize("workload,d_safe", [("corpus_events", 0.0), ("sweep_parallel", 0.5)])
+def test_benchmark_corpus_events_equal_the_one_pair_reference(bench_corpus, workload, d_safe):
+    corpus = bench_corpus(workload)
+    for cfg in (MetricsConfig(d_safe=d_safe), MetricsConfig(d_safe=0.5 - d_safe, q_predicate="always_true"),
+                MetricsConfig(d_safe=d_safe, mei_cap=0.5)):
+        assert_corpus_matches_reference(corpus, cfg)
+
+
+def test_benchmark_collision_filter_equals_the_one_pair_overlap_view(bench_corpus):
+    corpus = bench_corpus("dataset_filter")
+    expected = []
+    for (scenario_id, pair), a, b in keyed_pairs(corpus):
+        t, overlap = overlap_frames(a, b)
+        if overlap.any():
+            expected.append(CollisionRemoval(scenario_id, pair, float(t[overlap].min())))
+    kept, removals = filter_collision_scenarios(corpus)
+    assert removals == expected and len(removals) > 10
+    assert [s.scenario_id for s in kept] == sorted({s.scenario_id for s in corpus} - {r.scenario_id for r in removals})

@@ -459,6 +459,55 @@ def test_adapt_timestep_bound_is_exclusive(tmp_path):
     ]
 
 
+def test_adapt_short_row_is_a_row_diagnostic(tmp_path):
+    """A row too short to reach its case_id or track_id cell is reported by
+    line and skipped; the rest of the file still parses."""
+    rows = [f"c1,AV,av,{i},{0.5 * i},0.0,5.0,0.0,0.0,4.5,2.0" for i in range(3)]
+    rows += ["c1", f"c1,V,car,0,20.0,0.0,5.0,0.0,{math.pi},4.5,2.0"]
+    result = adapt_external([_dataset_csv(tmp_path, rows)])
+    assert [(i.line, i.scenario_id, i.message) for i in result.issues] == [
+        (5, "c1", "row too short to hold case_id and track_id; row skipped"),
+    ]
+    (scenario,) = result.scenarios
+    assert sorted(scenario.agents) == ["AV", "V"]
+    assert [s.x for s in scenario.agents["AV"]] == [0.0, 0.5, 1.0]
+
+
+def test_adapt_open_quote_ends_with_its_line(tmp_path):
+    """A dataset row whose quote is never closed ends with its line (one
+    record per line, as in the canonical parser), so the 3,000 rows after it
+    parse instead of running into the csv field size limit."""
+    rows = [f"c1,AV,av,{i},{0.5 * i},0.0,5.0,0.0,0.0,4.5,2.0" for i in range(1, 3001)]
+    assert sum(len(row) + 1 for row in rows) > 131_072
+    rows.insert(0, 'c1,V,car,0,"0.0,0,5,0,0,4.5,2')
+    result = adapt_external([_dataset_csv(tmp_path, rows)])
+    assert [(i.line, i.scenario_id, i.message) for i in result.issues] == [
+        (2, "c1", "track V: missing dimensions for non-pedestrian; track skipped"),
+    ]
+    (scenario,) = result.scenarios
+    assert [s.t for s in scenario.agents["AV"]] == [round(0.1 * i, 1) for i in range(1, 3001)]
+
+
+def test_bare_carriage_returns_end_lines_as_in_the_cli(tmp_path):
+    """Text with old Mac line ends (bare \\r) gives the rows and line numbers
+    that the CLI's universal-newline read gives, however it is passed."""
+    lines = [HEADER, "s1,A,vehicle,0.0,0,0,5,0,4,2", "s1,A,vehicle,0.1,x,0,5,0,4,2", "", "s1,A,vehicle,0.2,1,0,5,0,4,2"]
+    path = tmp_path / "mac.csv"
+    path.write_bytes("\r".join(lines).encode() + b"\r")
+
+    def summary(result):
+        return [(i.line, i.message) for i in result.issues], [[s.x for s in t] for t in result.scenarios[0].agents.values()]
+
+    with open(path, encoding="utf-8") as fh:
+        expected = summary(parse_canonical(fh))
+    assert expected == ([(3, "could not convert string to float: 'x'")], [[0.0, 1.0]])
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert summary(parse_canonical(fh.read())) == expected
+    for newline in ("", "\n"):
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            assert summary(parse_canonical(fh)) == expected
+
+
 def _derive_kinematics_loop(positions):
     """Frame-by-frame central differences: the reference for derive_kinematics."""
     out, last_heading, n = [], 0.0, len(positions)
