@@ -32,6 +32,7 @@ from .classify import ConflictEvent, RiskLevel, classify_frames, corpus_events, 
 from .metrics import MetricsConfig, frame_columns, joined_pairs
 from .stats import build_threshold_table, threshold_table_csv
 from .trajio import (
+    ParseIssue,
     ParseResult,
     Scenario,
     SchemaError,
@@ -95,8 +96,16 @@ def _load_scenarios(args: argparse.Namespace) -> tuple[list[Scenario], ParseResu
     else:
         result = adapt_external(args.input)
     for issue in result.issues:
-        print(f"warning: {issue.scenario_id or ''} line {issue.line}: {issue.message}", file=sys.stderr)
+        print(f"warning: {_where(issue)}{issue.message}", file=sys.stderr)
     return result.scenarios, result
+
+
+def _where(issue: ParseIssue) -> str:
+    """The scenario and line an issue names, as "s1 line 6: ", omitting
+    what it does not name."""
+    parts = [issue.scenario_id or "", "" if issue.line is None else f"line {issue.line}"]
+    where = " ".join(part for part in parts if part)
+    return f"{where}: " if where else ""
 
 
 def _fmt(value: float | None) -> str:

@@ -269,6 +269,14 @@ class TrackArrays(abc.Sequence):
     def take(self, idx) -> TrackArrays:
         return TrackArrays(self.agent_id, *(getattr(self, name)[idx] for name in _TRACK_COLUMNS))
 
+    def split(self, agent_ids: Sequence[str], bounds: Sequence[int]) -> list[TrackArrays]:
+        """Runs of consecutive frames as tracks of their own: frames
+        bounds[k] to bounds[k + 1] become the track of agent_ids[k]. The
+        tracks are views of this one, so nothing is computed again."""
+        columns = [getattr(self, name) for name in _TRACK_COLUMNS]
+        return [TrackArrays(agent_id, *(column[lo:hi] for column in columns))
+                for agent_id, lo, hi in zip(agent_ids, bounds, bounds[1:])]
+
 
 def _unpickle_track(agent_id: str, floats: np.ndarray, agent_type: np.ndarray) -> TrackArrays:
     return TrackArrays.from_columns(agent_id, *floats, agent_type)

@@ -17,12 +17,11 @@ alignment across agents is exact on the 10 Hz grid.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, compress, groupby, repeat
 from operator import itemgetter
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -108,25 +107,179 @@ def _parse_float(raw: str, name: str) -> float:
     return value
 
 
-def _rows_from(stream: str | TextIO) -> Iterable[tuple[int, list[str]]]:
-    """(line number, cells) of every line that is neither blank nor a '#'
-    comment. Lines end at \n, \r or \r\n, whatever newline mode a stream
-    was opened in (universal newlines, as open() reads by default). Each line
-    is one record, never joined with the next one: a line whose quoted field
-    is left open is parsed as if the text ended there. A line without a
-    quote splits on its commas, which is what the csv module gives for it."""
-    lines = io.StringIO(stream, newline=None) if isinstance(stream, str) else stream
-    # a line of a stream read without universal newlines can hold a bare \r
-    lines = (part for line in lines for part in (io.StringIO(line, newline=None) if "\r" in line else (line,)))
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        body = line.rstrip("\n")
-        if '"' in body:
-            yield lineno, next(csv.reader([line]))
-        else:
-            yield lineno, body.split(",")
+# ---------------------------------------------------------------------------
+# Columnar CSV reader
+# ---------------------------------------------------------------------------
+
+# Characters of text split into cells at a time. This keeps a block's bytes
+# and each mask over them at 64 kB, as PET_BATCH_CELLS keeps a PET batch's
+# temporaries, and its split cells (some 60 bytes a cell of 15 characters)
+# at about 256 kB; the 8-byte numbers they become are all that outlive the
+# block, however long the file.
+_BLOCK_CHARS = 1 << 16
+
+
+def _cells(line: str) -> list[str] | None:
+    """The cells of one line (with or without its \\n), or None for a blank
+    line or a '#' comment. A line with a quote is read by the csv module, so
+    a quoted field left open ends with its line; any other line splits on
+    its commas, which is what the csv module gives for it."""
+    stripped = line.strip()
+    if not stripped or stripped.startswith("#"):
+        return None
+    if '"' in line:
+        return next(csv.reader([line]))
+    return line.rstrip("\n").split(",")
+
+
+def _text_blocks(stream: str | TextIO) -> Iterator[str]:
+    """The text of stream in blocks of whole lines of about _BLOCK_CHARS
+    characters, with every line end made \\n. Lines end at \\n, \\r or \\r\\n,
+    whatever newline mode a stream was opened in (universal newlines, as
+    open() reads by default)."""
+    if isinstance(stream, str):
+        chunks = (stream[i:i + _BLOCK_CHARS] for i in range(0, len(stream), _BLOCK_CHARS))
+    else:
+        chunks = iter(lambda: stream.read(_BLOCK_CHARS), "")
+    pending: list[str] = []
+    for chunk in chunks:
+        # a \r that ends the chunk may be the first half of a \r\n
+        cut = max(chunk.rfind("\n"), chunk.rfind("\r", 0, -1)) + 1
+        if cut:
+            pending.append(chunk[:cut])
+            yield _newlines("".join(pending))
+            pending = []
+        pending.append(chunk[cut:])
+    if any(pending):
+        yield _newlines("".join(pending))
+
+
+def _newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+class _Block(NamedTuple):
+    """Consecutive lines of CSV text after its header. A plain row is a line
+    with as many cells as the header and no quote or '#'; the other lines
+    that are neither blank nor comments are tokenized one by one."""
+
+    first: int  # line number of the first line
+    stop: int  # line number after the last line
+    text: str  # the lines, each ending in \n unless it ends the input
+    lines: np.ndarray  # line numbers of the plain rows
+    cells: list[str]  # cells of the plain rows, row after row
+    others: list[tuple[int, list[str]]]  # (line number, cells) of the other rows
+
+
+def _read_csv(stream: str | TextIO) -> tuple[list[str] | None, Iterator[_Block]]:
+    """The header of CSV text, its first line that is neither blank nor a '#'
+    comment (None when there is none), and the blocks of the lines after it.
+    Line numbers count every line, the header being line 1 unless blank or
+    comment lines precede it."""
+    texts = _text_blocks(stream)
+    lineno = 0
+    for text in texts:
+        start = 0
+        while start < len(text):
+            end = text.find("\n", start) + 1 or len(text)
+            lineno += 1
+            header = _cells(text[start:end])
+            start = end
+            if header is not None:
+                return header, _blocks(chain([text[start:]], texts), lineno + 1, len(header))
+    return None, iter(())
+
+
+def _blocks(texts: Iterable[str], first: int, width: int) -> Iterator[_Block]:
+    for text in texts:
+        if text:
+            block = _split_block(text, first, width)
+            first = block.stop
+            yield block
+
+
+def _split_block(text: str, first: int, width: int) -> _Block:
+    """Split a block's plain rows into cells with one str.split, after
+    counting each line's commas, quotes and '#'s on the block's bytes (UTF-8
+    encodes none of them inside another character)."""
+    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    terminated = text.endswith("\n")
+    if not terminated:
+        ends = np.append(ends, len(data))
+    commas = np.diff(np.searchsorted(np.flatnonzero(data == ord(",")), ends), prepend=0)
+    plain = commas == width - 1
+    stop = first + len(plain)
+    plain[np.searchsorted(ends, np.flatnonzero((data == ord('"')) | (data == ord("#"))))] = False
+    body = text[:-1] if terminated else text
+    if plain.all():
+        return _Block(first, stop, text, np.arange(first, stop), body.replace("\n", ",").split(","), [])
+    lines = body.split("\n")
+    cells = ",".join(compress(lines, plain)).split(",") if plain.any() else []
+    others = []
+    for i in np.flatnonzero(~plain).tolist():
+        row = _cells(lines[i] + "\n" if terminated or i < len(lines) - 1 else lines[i])
+        if row is not None:
+            others.append((first + i, row))
+    return _Block(first, stop, text, first + np.flatnonzero(plain), cells, others)
+
+
+def _floats(cells: Sequence) -> np.ndarray:
+    """float() of each cell, NaN where float() raises."""
+    try:
+        return np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+    except (TypeError, ValueError):
+        return np.fromiter(map(_float_or_nan, cells), dtype=np.float64, count=len(cells))
+
+
+def _float_or_nan(cell) -> float:
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        return math.nan
+
+
+def _dimensions(cells: list[str], known: dict[str, float]) -> tuple[np.ndarray, np.ndarray]:
+    """float() of each cell (NaN where it raises) and whether the cell is
+    empty. A track repeats its footprint on every row, so each distinct cell
+    is converted once, into known."""
+    for cell in dict.fromkeys(cells):
+        if cell not in known:
+            known[cell] = _float_or_nan(cell)
+    empty = ~np.fromiter(map(bool, cells), dtype=bool, count=len(cells))
+    return np.fromiter(map(known.__getitem__, cells), dtype=np.float64, count=len(cells)), empty
+
+
+def _codes(cells: list[str], index: dict[str, int]) -> np.ndarray:
+    """The code of each cell in index, a new value taking the next free code."""
+    for value in dict.fromkeys(cells):
+        index.setdefault(value, len(index))
+    return np.fromiter(map(index.__getitem__, cells), dtype=np.int64, count=len(cells))
+
+
+def _ranked(index: dict[str, int], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The values of index in sorted order, and codes as positions in it."""
+    names = sorted(index)
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[list(map(index.__getitem__, names))] = np.arange(len(names))
+    return names, rank[codes]
+
+
+def _wrapped(heading: np.ndarray) -> np.ndarray:
+    """normalize_heading of each finite value. A value inside (-pi, pi) is
+    its own remainder, so only the others are wrapped one by one."""
+    wrap = np.flatnonzero((np.abs(heading) >= math.pi) & np.isfinite(heading))
+    if wrap.size:
+        heading = heading.copy()
+        heading[wrap] = list(map(normalize_heading, heading[wrap].tolist()))
+    return heading
+
+
+# ---------------------------------------------------------------------------
+# Canonical text
+# ---------------------------------------------------------------------------
+
+_TYPE_CODE = {name: k for k, name in enumerate(AGENT_TYPES)}
 
 
 def parse_canonical(stream: str | TextIO) -> ParseResult:
@@ -135,30 +288,99 @@ def parse_canonical(stream: str | TextIO) -> ParseResult:
 
     Invalid rows are collected as diagnostics and excluded, never silently
     dropped; a malformed header raises SchemaError naming the column.
+
+    Columns are converted and validated a block at a time. A row that any
+    check flags, and a line that is not a plain row, goes through
+    _parse_row, so every row diagnostic comes from there.
     """
-    rows = _rows_from(stream)
-    try:
-        _, header = next(iter(rows))
-    except StopIteration:
-        raise SchemaError("empty input: header row required") from None
+    header, blocks = _read_csv(stream)
+    if header is None:
+        raise SchemaError("empty input: header row required")
     colindex = {name.strip(): i for i, name in enumerate(header)}
     for required in CANONICAL_COLUMNS:
         if required not in colindex:
             raise SchemaError(f"missing required column: {required}")
     cols = tuple(colindex[name] for name in CANONICAL_COLUMNS)
+    ncells = len(header)
 
     issues: list[ParseIssue] = []
-    by_scenario: dict[str, list[tuple]] = {}
-    for lineno, row in rows:
-        try:
-            parsed = _parse_row(row, cols)
-        except (ValueError, IndexError) as exc:
-            issues.append(ParseIssue(line=lineno, scenario_id=None, message=str(exc)))
-            continue
-        by_scenario.setdefault(parsed[0], []).append(parsed)
+    scenario_ids: dict[str, int] = {}
+    agent_ids: dict[str, int] = {}
+    dimensions: dict[str, float] = {}
+    parts: list[tuple[np.ndarray, ...]] = []
+    for block in blocks:
+        part, flagged = _canonical_columns(block, ncells, cols, scenario_ids, agent_ids, dimensions)
+        parts.append(part)
+        cells, lines = block.cells, block.lines.tolist()
+        rows = [(lines[i], cells[i * ncells:(i + 1) * ncells]) for i in flagged]
+        parsed = []
+        for lineno, row in sorted(rows + block.others, key=itemgetter(0)):
+            try:
+                parsed.append((lineno, *_parse_row(row, cols)))
+            except (ValueError, IndexError) as exc:
+                issues.append(ParseIssue(line=lineno, scenario_id=None, message=str(exc)))
+        if parsed:
+            lineno, sid, aid, agent_type, *floats = zip(*parsed)
+            kind = np.fromiter(map(_TYPE_CODE.__getitem__, agent_type), dtype=np.int64, count=len(parsed))
+            parts.append((np.array(lineno, dtype=np.int64), _codes(list(sid), scenario_ids),
+                          _codes(list(aid), agent_ids), kind, *np.array(floats, dtype=np.float64)))
+    if not any(len(part[0]) for part in parts):
+        return ParseResult(scenarios=[], issues=issues)
+    columns = [np.concatenate(column) for column in zip(*parts)]
+    return ParseResult(scenarios=_canonical_scenarios(columns, scenario_ids, agent_ids, issues), issues=issues)
 
-    scenarios = [_build_scenario(sid, by_scenario[sid], issues) for sid in sorted(by_scenario)]
-    return ParseResult(scenarios=scenarios, issues=issues)
+
+def _canonical_columns(
+    block: _Block,
+    ncells: int,
+    cols: tuple[int, ...],
+    scenario_ids: dict[str, int],
+    agent_ids: dict[str, int],
+    dimensions: dict[str, float],
+) -> tuple[tuple[np.ndarray, ...], list[int]]:
+    """The columns (line, scenario code, agent code, agent type code, t, x,
+    y, speed, heading, length, width) of a block's plain rows that pass
+    every check of _parse_row, and the positions of those that do not."""
+    c_sid, c_aid, c_type, c_t, c_x, c_y, c_speed, c_heading, c_length, c_width = (
+        block.cells[c::ncells] for c in cols
+    )
+    n = len(c_t)
+    sid, aid = list(map(str.strip, c_sid)), list(map(str.strip, c_aid))
+    kind = np.fromiter(map(_TYPE_CODE.get, map(str.strip, c_type), repeat(-1)), dtype=np.int64, count=n)
+    t, x, y, speed, heading = map(_floats, (c_t, c_x, c_y, c_speed, c_heading))
+    pedestrian = kind == _TYPE_CODE["pedestrian"]
+    (length, no_length), (width, no_width) = _dimensions(c_length, dimensions), _dimensions(c_width, dimensions)
+    length = np.where(no_length & pedestrian, PEDESTRIAN_DEFAULT_LENGTH, length)
+    width = np.where(no_width & pedestrian, PEDESTRIAN_DEFAULT_WIDTH, width)
+    with np.errstate(invalid="ignore", over="ignore"):
+        ms = t * 1000
+        bad = (
+            ~np.fromiter(map(bool, sid), dtype=bool, count=n)
+            | ~np.fromiter(map(bool, aid), dtype=bool, count=n)
+            | (kind < 0)
+            # a sum is finite when its terms are; one that overflows only
+            # sends a valid row through _parse_row
+            | ~np.isfinite(t + x + y + speed + heading + length + width)
+            | (t < 0)
+            | (t >= MAX_T_S)
+            | (np.abs(ms - np.rint(ms)) > 1e-6)
+            | (speed < 0)
+            | (length <= 0)
+            | (width <= 0)
+        )
+        # round(t * 1e4) / 1e4 as _parse_row takes it; round() gives +0.0 for -0.0
+        t = np.rint(t * 1e4) / 1e4 + 0.0
+    lines = block.lines
+    flagged = np.flatnonzero(bad).tolist()
+    if flagged:
+        keep = ~bad
+        sid, aid = list(compress(sid, keep)), list(compress(aid, keep))
+        lines, kind, t, x, y, speed, heading, length, width = (
+            a[keep] for a in (lines, kind, t, x, y, speed, heading, length, width)
+        )
+    part = (lines, _codes(sid, scenario_ids), _codes(aid, agent_ids), kind,
+            t, x, y, speed, _wrapped(heading), length, width)
+    return part, flagged
 
 
 def _parse_row(row: list[str], cols: tuple[int, ...]) -> tuple:
@@ -204,53 +426,52 @@ def _parse_row(row: list[str], cols: tuple[int, ...]) -> tuple:
     return scenario_id, agent_id, agent_type, t, x, y, speed, heading, length, width
 
 
-def _build_scenario(scenario_id: str, rows: list[tuple], issues: list[ParseIssue]) -> Scenario:
-    """The scenario of one scenario_id's parsed rows. Each agent's frames are
-    sorted by time (stably: rows with one timestamp keep the file's order),
-    and a repeated timestamp keeps its first row. The clock step dt is the
-    smallest spacing of any track; a longer spacing is reported as a gap."""
-    _, agent_ids, agent_types, *floats = zip(*rows)
-    names = sorted(set(agent_ids))
-    index = {agent_id: k for k, agent_id in enumerate(names)}
-    track = np.array([index[agent_id] for agent_id in agent_ids], dtype=np.int64)
-    floats = np.array(floats, dtype=np.float64)  # t, x, y, speed, heading, length, width
-    t_dms = np.rint(floats[0] * 1e4).astype(np.int64)
-    order = np.lexsort((t_dms, track))
-    track, t_dms, floats = track[order], t_dms[order], floats[:, order]
-    agent_types = np.array(agent_types, dtype=object)[order]
+def _canonical_scenarios(
+    columns: list[np.ndarray], scenario_ids: dict[str, int], agent_ids: dict[str, int], issues: list[ParseIssue]
+) -> list[Scenario]:
+    """The scenarios of the valid rows' columns, in scenario_id order. Each
+    agent's frames are sorted by time (rows with one timestamp keep the
+    file's order), and a repeated timestamp keeps its first row. A
+    scenario's clock step dt is the smallest spacing of any of its tracks; a
+    longer spacing is reported as a gap."""
+    line, sid, aid, kind, t, *floats = columns
+    scenario_names, sid = _ranked(scenario_ids, sid)
+    agent_names, aid = _ranked(agent_ids, aid)
+    t_dms = np.rint(t * 1e4).astype(np.int64)
+    order = np.lexsort((line, t_dms, aid, sid))
+    sid, aid, t_dms, kind, t, *floats = (a[order] for a in (sid, aid, t_dms, kind, t, *floats))
 
-    repeat = np.flatnonzero((track[1:] == track[:-1]) & (t_dms[1:] == t_dms[:-1])) + 1
-    t = floats[0].tolist()
-    for i in repeat.tolist():
-        issues.append(
-            ParseIssue(
-                line=None,
-                scenario_id=scenario_id,
-                message=f"duplicate timestamp t={t[i]} for agent {names[track[i]]}; later row dropped",
-            )
-        )
-    track, t_dms, floats, agent_types = (np.delete(a, repeat, axis=-1) for a in (track, t_dms, floats, agent_types))
+    repeats = np.flatnonzero((sid[1:] == sid[:-1]) & (aid[1:] == aid[:-1]) & (t_dms[1:] == t_dms[:-1])) + 1
+    times, sids, aids = t.tolist(), sid.tolist(), aid.tolist()
+    pending = [(sids[i], f"duplicate timestamp t={times[i]} for agent {agent_names[aids[i]]}; later row dropped")
+               for i in repeats.tolist()]
+    if repeats.size:
+        sid, aid, t_dms, kind, t, *floats = (np.delete(a, repeats) for a in (sid, aid, t_dms, kind, t, *floats))
+        times, sids, aids = t.tolist(), sid.tolist(), aid.tolist()
 
-    within = track[1:] == track[:-1]
+    within = (sid[1:] == sid[:-1]) & (aid[1:] == aid[:-1])
     step = t_dms[1:] - t_dms[:-1]
-    dt = int(step[within].min()) / 1e4 if within.any() else 0.1
-    dt_dms = round(dt * 1e4)
-    t = floats[0].tolist()
-    for i in np.flatnonzero(within & (step > dt_dms)).tolist():
-        issues.append(
-            ParseIssue(
-                line=None,
-                scenario_id=scenario_id,
-                message=f"gap in agent {names[track[i]]} track between t={t[i]} and t={t[i + 1]}",
-            )
+    new_scenario = np.r_[True, sid[1:] != sid[:-1]]
+    never = np.iinfo(np.int64).max
+    spacing = np.minimum.reduceat(np.append(np.where(within, step, never), never), np.flatnonzero(new_scenario))
+    dts = [int(s) / 1e4 if s != never else 0.1 for s in spacing.tolist()]
+    dt_dms = np.array([round(dt * 1e4) for dt in dts], dtype=np.int64)
+    scenario = np.cumsum(new_scenario) - 1
+    for i in np.flatnonzero(within & (step > dt_dms[scenario[1:]])).tolist():
+        pending.append(
+            (sids[i], f"gap in agent {agent_names[aids[i]]} track between t={times[i]} and t={times[i + 1]}")
         )
+    pending.sort(key=itemgetter(0))  # stable: a scenario's repeats, then its gaps
+    issues.extend(ParseIssue(line=None, scenario_id=scenario_names[s], message=m) for s, m in pending)
 
-    bounds = np.searchsorted(track, np.arange(len(names) + 1)).tolist()
-    agents = {
-        agent_id: TrackArrays.from_columns(agent_id, *floats[:, lo:hi], agent_types[lo:hi])
-        for agent_id, lo, hi in zip(names, bounds, bounds[1:])
-    }
-    return Scenario(scenario_id=scenario_id, agents=agents, dt=dt)
+    starts = np.flatnonzero(np.r_[True, ~within]).tolist()
+    whole = TrackArrays.from_columns("", t, *floats, np.array(AGENT_TYPES, dtype=object)[kind])
+    tracks = iter(whole.split([agent_names[aids[lo]] for lo in starts], starts + [len(t)]))
+    scenarios = []
+    for dt, (s, group) in zip(dts, groupby(starts, key=sids.__getitem__)):
+        agents = {track.agent_id: track for _, track in zip(group, tracks)}
+        scenarios.append(Scenario(scenario_id=scenario_names[s], agents=agents, dt=dt))
+    return scenarios
 
 
 def format_time(t_dms: int) -> str:
@@ -347,27 +568,34 @@ def derive_kinematics(
     if len(positions) < 2:
         raise ValueError("need at least 2 frames to derive kinematics")
     t, x, y = np.array(positions, dtype=np.float64).T
-    return list(zip(*_central_kinematics(t, x, y)))
+    speed, heading = _central_kinematics(t, x, y, 0, len(t) - 1)
+    return list(zip(speed.tolist(), heading.tolist()))
 
 
-def _central_kinematics(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[list[float], list[float]]:
-    """derive_kinematics over columns of at least 2 frames."""
+def _central_kinematics(t: np.ndarray, x: np.ndarray, y: np.ndarray, first, last) -> tuple[np.ndarray, np.ndarray]:
+    """derive_kinematics over the frames of tracks laid end to end: frame i's
+    track runs from frame first[i] to frame last[i] (scalars for one track)
+    and has at least 2 frames."""
     frame = np.arange(len(t))
-    lo, hi = np.maximum(frame - 1, 0), np.minimum(frame + 1, len(t) - 1)
+    lo, hi = np.maximum(frame - 1, first), np.minimum(frame + 1, last)
     dt = t[hi] - t[lo]
     if (dt == 0).any():
         raise ValueError("a central difference spans no time: timestamps repeat")
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite position gives NaN, as in floats
         vx = ((x[hi] - x[lo]) / dt).tolist()
         vy = ((y[hi] - y[lo]) / dt).tolist()
-    speed = list(map(math.hypot, vx, vy))
-    heading = []
-    last_heading = 0.0
-    for v, dx, dy in zip(speed, vx, vy):
-        if v >= NEAR_ZERO_SPEED:
-            last_heading = math.atan2(dy, dx)
-        heading.append(last_heading)
-    return speed, heading
+    speed = np.fromiter(map(math.hypot, vx, vy), dtype=np.float64, count=len(t))
+    heading = np.fromiter(map(math.atan2, vy, vx), dtype=np.float64, count=len(t))
+    return speed, _held_heading(heading, speed >= NEAR_ZERO_SPEED, first)
+
+
+def _held_heading(heading: np.ndarray, moving: np.ndarray, first) -> np.ndarray:
+    """heading where moving; elsewhere the heading of the last moving frame
+    of the same track, or 0.0 before any. Frame i's track starts at frame
+    first[i]."""
+    frame = np.arange(len(heading))
+    held = np.maximum.accumulate(np.where(moving, frame, -1))
+    return np.where(held >= first, heading[held], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +631,25 @@ _LINE, _CASE, _TRACK, _STEP = 0, 3, 4, 5
 _MAX_TIMESTEP = int(MAX_T_S * 10)
 
 
+class _Layout:
+    """The columns of one dataset file, from its header."""
+
+    def __init__(self, header: list[str]):
+        self.has_vel, self.has_psi = "vx" in header and "vy" in header, "psi_rad" in header
+        self.width = len(header)
+        self.colindex = {name: i for i, name in enumerate(header)}
+
+    def record(self, line: int, row: list[str]) -> tuple:
+        """The record of a row; a short row reads None, extra cells are ignored."""
+        row = (row + [None] * self.width)[:self.width] + [None]  # an absent column reads the last None
+        cells = (row[self.colindex.get(name, self.width)] for name in _DATASET_CELLS)
+        return (line, self.has_vel, self.has_psi, *cells)
+
+    def column(self, block: _Block, name: str) -> list[str] | None:
+        i = self.colindex.get(name)
+        return None if i is None else block.cells[i::self.width]
+
+
 def adapt_external(
     paths: Sequence[str],
     layout: str = DATASET_LAYOUT,
@@ -416,53 +663,206 @@ def adapt_external(
     positions by central differences). length/width are optional for
     pedestrians only. Scenarios without an 'AV' track are skipped with a
     diagnostic. See docs/dataset_format.md for the field-by-field mapping.
+
+    Columns are converted a block at a time and every track is built from
+    them. A track that any check flags (a malformed or invalid cell, a
+    repeated timestep, a line that is not a plain row, files of different
+    layouts, dimensions it cannot take) is rebuilt from its lines by
+    _adapt_track, so every track diagnostic comes from there.
     """
     if layout != DATASET_LAYOUT:
         raise UnsupportedFormatError(
             f"unsupported dataset layout {layout!r}; supported: {DATASET_LAYOUT}"
         )
     issues: list[ParseIssue] = []
-    # case_id -> track_id -> records
-    raw: dict[str, dict[str, list[tuple]]] = {}
+    case_ids: dict[str, int] = {}
+    track_ids: dict[str, int] = {}
+    categories: dict[str, int] = {}
+    dimensions: dict[str, float] = {}
+    blocks: list[tuple[_Layout, _Block]] = []
+    parts = []
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
-            rows = _rows_from(fh)
-            _, header = next(rows, (None, None))
+            header, file_blocks = _read_csv(fh)
             if header is None:
                 raise SchemaError(f"{path}: empty file")
             for required in _DATASET_REQUIRED:
                 if required not in header:
                     raise SchemaError(f"{path}: missing required column: {required}")
-            flags = ("vx" in header and "vy" in header, "psi_rad" in header)
-            width = len(header)
-            colindex = {name: i for i, name in enumerate(header)}
-            picked = [colindex.get(name, width) for name in _DATASET_CELLS]
-            pick = itemgetter(*picked)
-            absent = width in picked  # an absent column reads the None appended to each row
-            for line, row in rows:
-                if len(row) != width:  # a short row reads None, extra cells are ignored
-                    row = (row + [None] * width)[:width]
-                if absent:
-                    row.append(None)
-                rec = (line, *flags, *pick(row))
-                if rec[_CASE] is None or rec[_TRACK] is None:
-                    issues.append(ParseIssue(line=line, scenario_id=rec[_CASE],
-                                             message="row too short to hold case_id and track_id; row skipped"))
-                    continue
-                raw.setdefault(rec[_CASE], {}).setdefault(rec[_TRACK], []).append(rec)
+            file_layout = _Layout(header)
+            for block in file_blocks:
+                parts.append(_dataset_columns(len(blocks), file_layout, block, case_ids, track_ids, categories,
+                                              dimensions, issues))
+                # the text stays for the tracks the row path rebuilds; the cells go
+                blocks.append((file_layout, block._replace(cells=[])))
+    if not any(len(part[0]) for part in parts):
+        return ParseResult(scenarios=[], issues=issues)
+    columns = [np.concatenate(column) for column in zip(*parts)]
+    scenarios = _dataset_scenarios(columns, blocks, case_ids, track_ids, categories, issues)
+    return ParseResult(scenarios=scenarios, issues=issues)
 
+
+def _dataset_columns(
+    b: int,
+    layout: _Layout,
+    block: _Block,
+    case_ids: dict[str, int],
+    track_ids: dict[str, int],
+    categories: dict[str, int],
+    dimensions: dict[str, float],
+    issues: list[ParseIssue],
+) -> tuple[np.ndarray, ...]:
+    """The columns (block b, line, case code, track code, category code,
+    timestep, x, y, vx, vy, psi, length, width, no dimensions) of the
+    records of a block. A cell that does not convert reads NaN, a timestep
+    _MAX_TIMESTEP; so does the timestep of every row that is not a plain
+    row, whose track the row path then rebuilds."""
+    n = len(block.lines)
+    nan = np.full(n, math.nan)
+    vx, vy = (_floats(layout.column(block, name)) if layout.has_vel else nan for name in ("vx", "vy"))
+    psi = _floats(layout.column(block, "psi_rad")) if layout.has_vel and layout.has_psi else nan
+    no_dims = np.zeros(n, dtype=bool)
+    dims = []
+    for name in ("length", "width"):
+        cells = layout.column(block, name)
+        value, empty = (nan, ~no_dims) if cells is None else _dimensions(cells, dimensions)
+        dims.append(value)
+        no_dims = no_dims | empty
+
+    others = []
+    for line, row in block.others:
+        rec = layout.record(line, row)
+        if rec[_CASE] is None or rec[_TRACK] is None:
+            issues.append(ParseIssue(line=line, scenario_id=rec[_CASE],
+                                     message="row too short to hold case_id and track_id; row skipped"))
+        else:
+            others.append((line, rec[_CASE], rec[_TRACK]))
+    lines, cases, tracks = (list(cells) for cells in zip(*others)) if others else ([], [], [])
+
+    def then(column: np.ndarray, fill) -> np.ndarray:
+        return np.concatenate((column, np.full(len(others), fill, dtype=column.dtype))) if others else column
+
+    return (
+        np.full(n + len(others), b),
+        np.concatenate((block.lines, np.array(lines, dtype=np.int64))) if others else block.lines,
+        _codes(layout.column(block, "case_id") + cases, case_ids),
+        _codes(layout.column(block, "track_id") + tracks, track_ids),
+        then(_codes(layout.column(block, "object_category"), categories), -1),
+        then(_ints(layout.column(block, "timestep")), _MAX_TIMESTEP),
+        *(then(column, math.nan) for column in
+          (_floats(layout.column(block, "x")), _floats(layout.column(block, "y")), vx, vy, psi, *dims)),
+        then(no_dims, False),
+    )
+
+
+def _ints(cells: list[str]) -> np.ndarray:
+    """int() of each cell; _MAX_TIMESTEP where int() raises or the value is
+    at least that in magnitude."""
+    try:
+        return np.fromiter(map(int, cells), dtype=np.int64, count=len(cells))
+    except (TypeError, ValueError, OverflowError):
+        return np.fromiter(map(_timestep_or_bound, cells), dtype=np.int64, count=len(cells))
+
+
+def _timestep_or_bound(cell: str) -> int:
+    try:
+        step = int(cell)
+    except (TypeError, ValueError):
+        return _MAX_TIMESTEP
+    return step if abs(step) < _MAX_TIMESTEP else _MAX_TIMESTEP
+
+
+def _dataset_scenarios(
+    columns: list[np.ndarray],
+    blocks: list[tuple[_Layout, _Block]],
+    case_ids: dict[str, int],
+    track_ids: dict[str, int],
+    categories: dict[str, int],
+    issues: list[ParseIssue],
+) -> list[Scenario]:
+    """The scenarios of the records' columns, in case_id order, each with its
+    tracks in track_id order. A track's records are sorted by timestep
+    (stably, so files and lines keep their order)."""
+    block, line, case, track, category, step, x, y, vx, vy, psi, length, width, no_dims = columns
+    case_names, case = _ranked(case_ids, case)
+    track_names, track = _ranked(track_ids, track)
+    order = np.lexsort((step, track, case))
+    block, line, case, track, category, step, x, y, vx, vy, psi, length, width, no_dims = (
+        a[order] for a in (block, line, case, track, category, step, x, y, vx, vy, psi, length, width, no_dims)
+    )
+    n = len(step)
+    # 2 * has_vel + has_psi of each row's file: 3 psi_rad given, 2 heading
+    # from vx/vy, 0 or 1 kinematics from positions
+    layout = np.array([2 * lay.has_vel + lay.has_psi for lay, _ in blocks], dtype=np.int64)[block]
+    new = np.r_[True, (case[1:] != case[:-1]) | (track[1:] != track[:-1])]
+    starts = np.flatnonzero(new)
+    bounds = np.append(starts, n)
+    of_track = np.cumsum(new) - 1
+    first, last = starts[of_track], bounds[1:][of_track] - 1
+
+    # tracks for the row path: a malformed or out-of-range timestep, a
+    # repeated one, files of different layouts, a single frame with no
+    # velocity columns, then a value that is not finite and dimensions that
+    # _shape leaves to it
+    flag = (step >= _MAX_TIMESTEP) | (step <= -_MAX_TIMESTEP)
+    flag[1:] |= ~new[1:] & ((step[1:] == step[:-1]) | (layout[1:] != layout[:-1]))
+    flagged = np.logical_or.reduceat(flag, starts) | ((layout[starts] < 2) & (np.diff(bounds) < 2))
+
+    t = step * 0.1
+    speed, heading, held = _dataset_kinematics(layout, ~flagged[of_track], first, last, t, x, y, vx, vy, psi)
+    with np.errstate(invalid="ignore", over="ignore"):
+        flagged |= np.logical_or.reduceat(~np.isfinite(x + y + speed + heading), starts)
+
+    agent_types = [_CATEGORY_MAP.get(name.strip().lower(), "other") for name in categories]
+    shapes = [
+        None if skip else _shape(agent_types[category_k], no_dims_k, length_k, width_k)
+        for skip, category_k, no_dims_k, length_k, width_k in zip(
+            flagged.tolist(), *(column[starts].tolist() for column in (category, no_dims, length, width))
+        )
+    ]
+    track_of = track[starts].tolist()
+    built = [k for k, shape in enumerate(shapes) if shape]
+    if built:
+        rows = np.repeat([shape is not None for shape in shapes], np.diff(bounds))
+        sizes = np.diff(bounds)[built]
+        agent_type, length, width = zip(*(shapes[k] for k in built))
+        whole = TrackArrays.from_columns(
+            "", np.rint(t[rows] * 1e4) / 1e4, x[rows], y[rows], speed[rows], heading[rows],
+            np.repeat(length, sizes), np.repeat(width, sizes), np.repeat(np.array(agent_type, dtype=object), sizes),
+        )
+        tracks = dict(zip(built, whole.split([track_names[track_of[k]] for k in built],
+                                             np.r_[0, np.cumsum(sizes)].tolist())))
+
+    bounds = bounds.tolist()
+    near_zero = np.logical_or.reduceat(held, starts).tolist()
+    lines_of: dict[int, list[str]] = {}
     scenarios: list[Scenario] = []
-    for case_id in sorted(raw):
-        tracks = raw[case_id]
-        if AV_TRACK_ID not in tracks:
+    for case_code, group in groupby(range(len(starts)), key=case[starts].tolist().__getitem__):
+        case_id = case_names[case_code]
+        group = list(group)
+        if AV_TRACK_ID not in (track_names[track_of[k]] for k in group):
             issues.append(
                 ParseIssue(line=None, scenario_id=case_id, message="scenario has no AV track; skipped")
             )
             continue
         agents: dict[str, Track] = {}
-        for track_id in sorted(tracks):
+        for k in group:
+            track_id = track_names[track_of[k]]
+            if shapes[k] is not None:
+                if near_zero[k]:
+                    issues.append(
+                        ParseIssue(
+                            line=None,
+                            scenario_id=case_id,
+                            message=f"track {track_id}: near-zero-speed frames inherit the previous heading",
+                        )
+                    )
+                agents[track_id] = tracks[k]
+                continue
+            lo, hi = bounds[k], bounds[k + 1]
+            recs = _records(blocks, zip(block[lo:hi].tolist(), line[lo:hi].tolist()), lines_of)
             try:
-                track = _adapt_track(case_id, track_id, tracks[track_id], issues)
+                adapted = _adapt_track(case_id, track_id, recs, issues)
             except (ValueError, TypeError) as exc:
                 issues.append(
                     ParseIssue(
@@ -472,8 +872,8 @@ def adapt_external(
                     )
                 )
                 continue
-            if track is not None:
-                agents[track_id] = track
+            if adapted is not None:
+                agents[track_id] = adapted
         if AV_TRACK_ID not in agents:
             issues.append(
                 ParseIssue(
@@ -484,7 +884,54 @@ def adapt_external(
             )
             continue
         scenarios.append(Scenario(scenario_id=case_id, agents=agents, dt=0.1))
-    return ParseResult(scenarios=scenarios, issues=issues)
+    return scenarios
+
+
+def _dataset_kinematics(layout, kept, first, last, t, x, y, vx, vy, psi) -> tuple[np.ndarray, ...]:
+    """Speed, heading and whether the heading is held from an earlier frame,
+    for the kept rows of each layout as _adapt_track derives them; NaN, NaN
+    and False in the other rows. Frame i's track runs from first[i] to
+    last[i]."""
+    n = len(t)
+    speed, heading, held = np.full(n, math.nan), np.full(n, math.nan), np.zeros(n, dtype=bool)
+    rows = np.flatnonzero(kept & (layout >= 2))
+    speed[rows] = np.fromiter(map(math.hypot, vx[rows].tolist(), vy[rows].tolist()), dtype=np.float64, count=len(rows))
+    rows = np.flatnonzero(kept & (layout == 3))
+    heading[rows] = _wrapped(psi[rows])
+    rows = np.flatnonzero(kept & (layout == 2))
+    angle = np.fromiter(map(math.atan2, vy[rows].tolist(), vx[rows].tolist()), dtype=np.float64, count=len(rows))
+    angle[angle == -math.pi] = math.pi  # all normalize_heading does to an angle of atan2
+    held[rows] = ~(speed[rows] >= NEAR_ZERO_SPEED)
+    heading[rows] = _held_heading(angle, ~held[rows], np.searchsorted(rows, first[rows]))
+    rows = np.flatnonzero(kept & (layout < 2))
+    speed[rows], angle = _central_kinematics(
+        t[rows], x[rows], y[rows], np.searchsorted(rows, first[rows]), np.searchsorted(rows, last[rows])
+    )
+    angle[angle == -math.pi] = math.pi
+    heading[rows] = angle
+    return speed, heading, held
+
+
+def _shape(agent_type: str, no_dims: bool, length: float, width: float) -> tuple[str, float, float] | None:
+    """(agent type, length, width) of a track from its first row, or None
+    when _adapt_track must decide: dimensions missing for a non-pedestrian,
+    or not finite and positive."""
+    if no_dims:
+        return (agent_type, PEDESTRIAN_DEFAULT_LENGTH, PEDESTRIAN_DEFAULT_WIDTH) if agent_type == "pedestrian" else None
+    return (agent_type, length, width) if 0 < length < math.inf and 0 < width < math.inf else None
+
+
+def _records(blocks: list[tuple[_Layout, _Block]], rows: Iterable[tuple[int, int]], lines_of: dict) -> list[tuple]:
+    """The records of (block, line) rows in file order, read from the blocks'
+    text as the row path reads them; lines_of caches each block's lines."""
+    recs = []
+    for b, line in sorted(rows):
+        layout, block = blocks[b]
+        if b not in lines_of:
+            lines_of[b] = block.text.split("\n")
+        lines, i = lines_of[b], line - block.first
+        recs.append(layout.record(line, _cells(lines[i] + "\n" if i < len(lines) - 1 else lines[i])))
+    return recs
 
 
 def _adapt_track(
@@ -569,8 +1016,8 @@ def _adapt_track(
                 )
             )
             return None
-        speed, heading = _central_kinematics(t, x, y)
-        heading = list(map(normalize_heading, heading))
+        speed, heading = _central_kinematics(t, x, y, 0, n - 1)
+        heading[heading == -math.pi] = math.pi  # all normalize_heading does to an angle of atan2
 
     return TrackArrays.from_columns(
         track_id,

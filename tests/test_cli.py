@@ -376,3 +376,24 @@ def test_jobs_worker_error_is_raised_in_the_parent(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "corpus_events", failing)
     with pytest.raises(ValueError, match="scenario s0 failed"):
         cli._collect_events(scenarios, MetricsConfig(), 2)
+
+
+def test_diagnostics_name_only_the_scenario_and_line_they_know(tmp_path, capsys):
+    """A row diagnostic names its line, a scenario-level one its scenario, a
+    dataset track's repeated timestep both; nothing absent is printed."""
+    src = tmp_path / "in.csv"
+    rows = _head_on_rows(frames=5) + ["head_on,A,vehicle,0.5,x,0.0,10.0,0.0,4.0,2.0",
+                                      "head_on,A,vehicle,0.9,9.0,0.0,10.0,0.0,4.0,2.0"]
+    src.write_text("\n".join([HEADER] + rows) + "\n", encoding="utf-8")
+    assert main(["events", "--input", str(src), "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: line 12: could not convert string to float: 'x'",
+        "warning: head_on: gap in agent A track between t=0.4 and t=0.9",
+    ]
+
+    export = tmp_path / "export.csv"
+    rows = [f"c1,AV,av,{i},{0.5 * i},0.0,5.0,0.0,0.0,4.5,2.0" for i in range(3)] + ["c1,AV,av,1,9.0,0.0,5.0,0.0,0.0,4.5,2.0"]
+    export.write_text("\n".join(["case_id,track_id,object_category,timestep,x,y,vx,vy,psi_rad,length,width"] + rows) + "\n",
+                      encoding="utf-8")
+    main(["events", "--input", str(export), "--format", "dataset", "--out", str(tmp_path / "d")])
+    assert capsys.readouterr().err.splitlines()[0] == "warning: c1 line 5: track AV: duplicate timestep 1; later row dropped"

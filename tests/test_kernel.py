@@ -98,11 +98,16 @@ def grazing_pairs(draw):
     _, v, theta = relative_kinematics(*probe)
     assume(theta is not None and v.norm() > 0.5)
     verts = _region_polygon(*probe).vertices
-    k = draw(st.integers(min_value=0, max_value=len(verts) - 1))
-    vertex = verts[k]
-    for edge in (verts[k] - verts[k - 1], verts[(k + 1) % len(verts)] - verts[k]):
-        sine = abs(edge.x * theta.y - edge.y * theta.x) / edge.norm()
-        assume(sine > math.sin(math.radians(3.0)))
+
+    def clear(edge):
+        return abs(edge.x * theta.y - edge.y * theta.x) / edge.norm() > math.sin(math.radians(3.0))
+
+    # only vertices whose two edges pass the 3 degree test are drawn, so a
+    # draw is discarded only when the region has none
+    sharp = [k for k in range(len(verts))
+             if clear(verts[k] - verts[k - 1]) and clear(verts[(k + 1) % len(verts)] - verts[k])]
+    assume(sharp)
+    vertex = verts[draw(st.sampled_from(sharp))]
     offset = draw(st.sampled_from([1e-7, 1e-5, 1e-3])) * draw(st.sampled_from([-1.0, 1.0]))
     lead = draw(st.floats(min_value=0.5, max_value=4.0))
     px = vertex.x - theta.y * offset - lead * v.x
