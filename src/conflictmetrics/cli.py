@@ -36,7 +36,6 @@ from .trajio import (
     ParseResult,
     Scenario,
     SchemaError,
-    UnsupportedFormatError,
     adapt_external,
     format_time,
     parse_canonical,
@@ -492,7 +491,7 @@ def _checked(kind: type, valid, requirement: str):
     return parse
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_pet_grid: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", action="append", required=True, metavar="PATH",
                         help="input file (repeatable)")
     parser.add_argument("--format", choices=["canonical", "dataset"], default="canonical")
@@ -550,7 +549,7 @@ def main(argv: list[str] | None = None) -> int:
     args.argv = list(argv) if argv is not None else sys.argv[1:]
     try:
         return args.func(args)
-    except (SchemaError, UnsupportedFormatError) as exc:
+    except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except NotFoundError as exc:

@@ -48,8 +48,9 @@ FACE_TOL = 1e-9
 MAX_T_S = 1e14
 
 # Grid cells evaluated per batch of boxes in PET; keeps each of the batch's
-# temporaries at 64 kB whatever the track length, so PET adds nothing to the
-# peak resident set beyond its rasters.
+# float temporaries at 64 kB whatever the track length. PET keeps only each
+# batch's 8 kB of inside-the-box cells, one pass per agent, and the two swept
+# rasters until the pair's value is known.
 PET_BATCH_CELLS = 1 << 13
 
 # Frames of the a tracks per chunk of joined pairs (joined_pairs), which
@@ -97,10 +98,6 @@ class AgentState:
     @property
     def velocity(self) -> Vec2:
         return Vec2(self.v * math.cos(self.heading), self.v * math.sin(self.heading))
-
-    @property
-    def direction(self) -> Vec2:
-        return Vec2(math.cos(self.heading), math.sin(self.heading))
 
     @property
     def box(self) -> OrientedBox:
@@ -747,19 +744,19 @@ def _box_corners(tr: TrackArrays) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _box_cells(tr: TrackArrays, corners: tuple[np.ndarray, np.ndarray], x0: float, y0: float,
-               grid: float, bounds: tuple[int, int, int, int]):
+               grid: float, shape: tuple[int, int]):
     """For each box of the track, the cells of its window whose center lies
     inside the box (closed test), as (box, window, inside) with window a pair
-    of slices into the raster. A box's window is its corner bounds padded by
-    more than a cell, clipped to the cell bounds (i_lo, i_hi, j_lo, j_hi), so
-    no cell outside it can pass the test. Boxes go in batches of at most
+    of slices into the raster of the given shape. A box's window is its
+    corner bounds padded by more than a cell, clipped to the raster, so no
+    cell outside it can pass the test. Boxes go in batches of at most
     PET_BATCH_CELLS window cells."""
     xs, ys = corners
-    i_lo, i_hi, j_lo, j_hi = bounds
-    i0 = np.maximum(i_lo, np.trunc((xs.min(axis=0) - x0) / grid).astype(np.int64) - 1)
-    i1 = np.minimum(i_hi, np.trunc((xs.max(axis=0) - x0) / grid).astype(np.int64) + 2)
-    j0 = np.maximum(j_lo, np.trunc((ys.min(axis=0) - y0) / grid).astype(np.int64) - 1)
-    j1 = np.minimum(j_hi, np.trunc((ys.max(axis=0) - y0) / grid).astype(np.int64) + 2)
+    nx, ny = shape
+    i0 = np.maximum(0, np.trunc((xs.min(axis=0) - x0) / grid).astype(np.int64) - 1)
+    i1 = np.minimum(nx, np.trunc((xs.max(axis=0) - x0) / grid).astype(np.int64) + 2)
+    j0 = np.maximum(0, np.trunc((ys.min(axis=0) - y0) / grid).astype(np.int64) - 1)
+    j1 = np.minimum(ny, np.trunc((ys.max(axis=0) - y0) / grid).astype(np.int64) + 2)
     boxes = np.flatnonzero((i0 < i1) & (j0 < j1))
     if not boxes.size:
         return
@@ -816,25 +813,19 @@ def pet(
             "swept-footprint window; raise pet_grid"
         )
 
-    swept = []
+    cells, swept = [], []
     for tr, corners in ((a, corners_a), (b, corners_b)):
+        cells.append(list(_box_cells(tr, corners, x0, y0, grid, (nx, ny))))
         mask = np.zeros((nx, ny), dtype=bool)
-        for _, window, inside in _box_cells(tr, corners, x0, y0, grid, (0, nx, 0, ny)):
+        for _, window, inside in cells[-1]:
             mask[window] |= inside
         swept.append(mask)
-    zone = swept[0] & swept[1]
-    if not zone.any():
-        return None
-    zi, zj = np.nonzero(zone)
-    zone_bounds = (int(zi.min()), int(zi.max()) + 1, int(zj.min()), int(zj.max()) + 1)
-
-    def occupying_times(tr: TrackArrays, corners: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        boxes = [box for box, window, inside in _box_cells(tr, corners, x0, y0, grid, zone_bounds)
-                 if (inside & zone[window]).any()]
-        return tr.t_dms[np.array(boxes, dtype=np.int64)]
-
-    times_a = occupying_times(a, corners_a)
-    times_b = occupying_times(b, corners_b)
+    # a box's cells lie in its own swept mask, so it occupies the zone
+    # swept_a & swept_b iff one of them lies in the other agent's mask
+    times_a, times_b = (
+        tr.t_dms[np.array([box for box, window, inside in boxes if (inside & other[window]).any()], dtype=np.int64)]
+        for tr, boxes, other in ((a, cells[0], swept[1]), (b, cells[1], swept[0]))
+    )
     if not times_a.size or not times_b.size:
         return None
     if np.intersect1d(times_a, times_b).size:

@@ -61,10 +61,6 @@ class SchemaError(ValueError):
     """Input file violates the canonical schema (e.g. a missing column)."""
 
 
-class UnsupportedFormatError(ValueError):
-    """Dataset export layout is not one this adapter understands."""
-
-
 def normalize_heading(heading: float) -> float:
     """Wrap an angle to (-pi, pi]."""
     r = math.remainder(heading, math.tau)
@@ -602,8 +598,6 @@ def _held_heading(heading: np.ndarray, moving: np.ndarray, first) -> np.ndarray:
 # Dataset adapter
 # ---------------------------------------------------------------------------
 
-DATASET_LAYOUT = "lateral_conflict_csv_v1"
-
 _DATASET_REQUIRED = ("case_id", "track_id", "object_category", "timestep", "x", "y")
 
 _CATEGORY_MAP = {
@@ -650,10 +644,7 @@ class _Layout:
         return None if i is None else block.cells[i::self.width]
 
 
-def adapt_external(
-    paths: Sequence[str],
-    layout: str = DATASET_LAYOUT,
-) -> ParseResult:
+def adapt_external(paths: Sequence[str]) -> ParseResult:
     """Map lateral-conflict dataset CSV exports onto canonical scenarios
     whose tracks are TrackArrays.
 
@@ -670,10 +661,6 @@ def adapt_external(
     layouts, dimensions it cannot take) is rebuilt from its lines by
     _adapt_track, so every track diagnostic comes from there.
     """
-    if layout != DATASET_LAYOUT:
-        raise UnsupportedFormatError(
-            f"unsupported dataset layout {layout!r}; supported: {DATASET_LAYOUT}"
-        )
     issues: list[ParseIssue] = []
     case_ids: dict[str, int] = {}
     track_ids: dict[str, int] = {}
@@ -961,7 +948,7 @@ def _adapt_track(
     recs = [recs[i] for i in np.delete(order, repeat).tolist()]
     steps = np.delete(steps, repeat)
     lines, has_vel, has_psi, _, _, _, xs, ys, vxs, vys, psis, categories, lengths, widths = zip(*recs)
-    agent_type = _CATEGORY_MAP.get(categories[0].strip().lower(), "other")
+    agent_type = _CATEGORY_MAP.get((categories[0] or "").strip().lower(), "other")
 
     length_raw = (lengths[0] or "").strip()
     width_raw = (widths[0] or "").strip()

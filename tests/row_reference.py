@@ -251,7 +251,7 @@ def adapt_track(case_id, track_id, recs, issues):
     recs = [recs[i] for i in np.delete(order, repeat).tolist()]
     steps = np.delete(steps, repeat)
     lines, has_vel, has_psi, _, _, _, xs, ys, vxs, vys, psis, categories, lengths, widths = zip(*recs)
-    agent_type = _CATEGORY_MAP.get(categories[0].strip().lower(), "other")
+    agent_type = _CATEGORY_MAP.get((categories[0] or "").strip().lower(), "other")
 
     length_raw = (lengths[0] or "").strip()
     width_raw = (widths[0] or "").strip()

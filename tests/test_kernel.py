@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conflictmetrics.geometry import (
@@ -91,23 +91,36 @@ def grazing_pairs(draw):
     lateral distance of 1e-7 to 1e-3 m, on either side, at least 3 degrees
     off both edges at that vertex: the collision course is decided by a
     hair, but the entry time is well conditioned."""
-    ha, hb = draw(angles), draw(angles)
-    va, vb = draw(st.floats(min_value=1.0, max_value=20.0)), draw(st.floats(min_value=0.0, max_value=20.0))
+    # the ray's direction is drawn first and the speeds solved for it; a box
+    # turned by pi has the same footprint, so a negative speed turns its
+    # heading. Headings at least 4 degrees from parallel make every direction
+    # reachable, and 4 degrees keep the 3 degree test clear of rounding.
+    margin = math.radians(4.0)
+    ha = draw(angles)
+    hb = math.remainder(ha + draw(st.floats(min_value=margin, max_value=math.pi - margin)), math.tau)
     la, wa, lb, wb = (draw(extents) for _ in range(4))
-    probe = _state("a", 0.0, 0.0, va, ha, la, wa), _state("b", 0.0, 0.0, vb, hb, lb, wb)
-    _, v, theta = relative_kinematics(*probe)
-    assume(theta is not None and v.norm() > 0.5)
-    verts = _region_polygon(*probe).vertices
-
-    def clear(edge):
-        return abs(edge.x * theta.y - edge.y * theta.x) / edge.norm() > math.sin(math.radians(3.0))
-
-    # only vertices whose two edges pass the 3 degree test are drawn, so a
-    # draw is discarded only when the region has none
-    sharp = [k for k in range(len(verts))
-             if clear(verts[k] - verts[k - 1]) and clear(verts[(k + 1) % len(verts)] - verts[k])]
-    assume(sharp)
-    vertex = verts[draw(st.sampled_from(sharp))]
+    verts = _region_polygon(_state("a", 0.0, 0.0, 0.0, ha, la, wa), _state("b", 0.0, 0.0, 0.0, hb, lb, wb)).vertices
+    k = draw(st.integers(min_value=0, max_value=len(verts) - 1))
+    e1, e2 = verts[k] - verts[k - 1], verts[(k + 1) % len(verts)] - verts[k]
+    # angle from e1, kept at least margin off both edge lines
+    c = (math.atan2(e2.y, e2.x) - math.atan2(e1.y, e1.x)) % math.pi
+    lo, hi = max(margin, c - margin), min(math.pi - margin, c + margin)
+    off = draw(st.floats(min_value=margin, max_value=math.pi - margin - (hi - lo)))
+    if off >= lo:
+        off += hi - lo
+    phi = math.atan2(e1.y, e1.x) + off + draw(st.sampled_from([0.0, math.pi]))
+    # va * u_a - vb * u_b along phi, the faster agent at 1 to 20 m/s
+    cross = math.sin(hb - ha)
+    va = (math.cos(phi) * math.sin(hb) - math.sin(phi) * math.cos(hb)) / cross
+    vb = (math.cos(phi) * math.sin(ha) - math.sin(phi) * math.cos(ha)) / cross
+    scale = draw(st.floats(min_value=1.0, max_value=20.0)) / max(abs(va), abs(vb))
+    va, vb = scale * va, scale * vb
+    if va < 0.0:
+        va, ha = -va, math.remainder(ha + math.pi, math.tau)
+    if vb < 0.0:
+        vb, hb = -vb, math.remainder(hb + math.pi, math.tau)
+    _, v, theta = relative_kinematics(_state("a", 0.0, 0.0, va, ha, la, wa), _state("b", 0.0, 0.0, vb, hb, lb, wb))
+    vertex = verts[k]
     offset = draw(st.sampled_from([1e-7, 1e-5, 1e-3])) * draw(st.sampled_from([-1.0, 1.0]))
     lead = draw(st.floats(min_value=0.5, max_value=4.0))
     px = vertex.x - theta.y * offset - lead * v.x
@@ -274,13 +287,15 @@ def test_overlap_view_matches_sat():
     assert 100 < overlap.sum() < 1900
 
 
+def _swept_bounds(track):
+    """(minx, miny, maxx, maxy) of all boxes of a track, by the geometry module's corners."""
+    pts = [c for s in track for c in corners(s.box)]
+    return min(p.x for p in pts), min(p.y for p in pts), max(p.x for p in pts), max(p.y for p in pts)
+
+
 def _reference_pet(track_a, track_b, grid):
     """PET by one box at a time, with the geometry module's corners."""
-    def bounds(track):
-        pts = [c for s in track for c in corners(s.box)]
-        return min(p.x for p in pts), min(p.y for p in pts), max(p.x for p in pts), max(p.y for p in pts)
-
-    (aminx, aminy, amaxx, amaxy), (bminx, bminy, bmaxx, bmaxy) = bounds(track_a), bounds(track_b)
+    (aminx, aminy, amaxx, amaxy), (bminx, bminy, bmaxx, bmaxy) = _swept_bounds(track_a), _swept_bounds(track_b)
     minx, maxx, miny, maxy = max(aminx, bminx), min(amaxx, bmaxx), max(aminy, bminy), min(amaxy, bmaxy)
     if minx > maxx or miny > maxy:
         return None
@@ -330,13 +345,23 @@ def _track_through(rng, agent_id, point, n):
 
 def test_batched_pet_matches_box_by_box_raster():
     rng = np.random.default_rng(44)
-    defined = 0
-    for _ in range(100):
+    defined = zone_empty = 0
+    for k in range(200):
         point = rng.uniform(-5.0, 5.0, size=2)
+        other = point
+        if k >= 100:
+            # b passes a point up to 3 m from a's: the swept bounding boxes
+            # meet, but the swept footprints need not
+            gap, angle = rng.uniform(0.0, 3.0), rng.uniform(-math.pi, math.pi)
+            other = point + gap * np.array([math.cos(angle), math.sin(angle)])
         track_a = _track_through(rng, "a", point, int(rng.integers(2, 25)))
-        track_b = _track_through(rng, "b", point, int(rng.integers(2, 25)))
+        track_b = _track_through(rng, "b", other, int(rng.integers(2, 25)))
         grid = float(rng.choice([0.1, 0.25]))
         got = pet(track_a, track_b, MetricsConfig(pet_grid=grid))
         assert got == _reference_pet(track_a, track_b, grid)
         defined += got is not None
+        (aminx, aminy, amaxx, amaxy), (bminx, bminy, bmaxx, bmaxy) = _swept_bounds(track_a), _swept_bounds(track_b)
+        bounds_meet = max(aminx, bminx) <= min(amaxx, bmaxx) and max(aminy, bminy) <= min(amaxy, bmaxy)
+        zone_empty += got is None and bounds_meet
     assert defined >= 20
+    assert zone_empty >= 5

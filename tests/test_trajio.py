@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from conflictmetrics.metrics import AgentState
 from conflictmetrics.trajio import (
     SchemaError,
-    UnsupportedFormatError,
     adapt_external,
     derive_kinematics,
     format_time,
@@ -259,11 +258,6 @@ class TestAdaptExternal:
         assert result.scenarios == []
         assert any("no AV track" in issue.message for issue in result.issues)
 
-    def test_unknown_layout_rejected(self, tmp_path):
-        path = _dataset_csv(tmp_path, self._scenario_rows())
-        with pytest.raises(UnsupportedFormatError):
-            adapt_external([path], layout="mystery_v9")
-
     def test_missing_column_rejected(self, tmp_path):
         path = _dataset_csv(
             tmp_path,
@@ -471,6 +465,19 @@ def test_adapt_short_row_is_a_row_diagnostic(tmp_path):
     (scenario,) = result.scenarios
     assert sorted(scenario.agents) == ["AV", "V"]
     assert [s.x for s in scenario.agents["AV"]] == [0.0, 0.5, 1.0]
+
+
+def test_adapt_row_short_of_its_category_reads_it_empty(tmp_path):
+    """A track's first row too short to reach object_category reads the
+    category as empty, as a short row reads its dimensions, so the track is
+    skipped with a diagnostic instead of ending the run."""
+    path = _dataset_csv(tmp_path, ["c1,AV,0,0,0"], header="case_id,track_id,timestep,x,y,object_category,length,width")
+    result = adapt_external([path])
+    assert [(i.line, i.scenario_id, i.message) for i in result.issues] == [
+        (2, "c1", "track AV: missing dimensions for non-pedestrian; track skipped"),
+        (None, "c1", "AV track did not survive adaptation; scenario skipped"),
+    ]
+    assert result.scenarios == []
 
 
 def test_adapt_open_quote_ends_with_its_line(tmp_path):
