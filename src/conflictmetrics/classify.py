@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .metrics import ContactRegion, FrameMetrics, MetricsConfig, PetGridError, frame_columns, joined_pairs, pet
+from .metrics import ContactRegion, FrameMetrics, MetricsConfig, PetGridError, frame_columns, joined_pairs, pets
 
 if TYPE_CHECKING:
     from .trajio import Scenario
@@ -141,18 +141,6 @@ def _first_extreme(values: np.ndarray, starts: np.ndarray, reduce: np.ufunc) -> 
     return np.minimum.reduceat(index, starts).tolist()
 
 
-def _pair_pet(scenario: Scenario, pair: tuple[str, str], cfg: MetricsConfig, pet_skipped: list | None) -> float | None:
-    track_a, track_b = scenario.agents[pair[0]], scenario.agents[pair[1]]
-    if len(track_a) < 2 or len(track_b) < 2:
-        return None
-    try:
-        return pet(track_a, track_b, cfg)
-    except PetGridError as exc:
-        if pet_skipped is not None:
-            pet_skipped.append((scenario.scenario_id, *pair, str(exc)))
-        return None
-
-
 def corpus_events(
     scenarios: Iterable[Scenario],
     cfg: MetricsConfig = MetricsConfig(),
@@ -160,21 +148,28 @@ def corpus_events(
 ) -> list[ConflictEvent]:
     """The event of every pair with common frames, scenario by scenario in
     Scenario.pairs order: bit for bit extract_event of compute_pair_frames
-    with the pair's pet, computed as one kernel pass (frame_columns) and a few
-    segment reductions per chunk of joined pairs. A pair whose PET raster
-    would be too fine gets pet None and, when pet_skipped is given, an entry
-    (scenario_id, agent_a, agent_b, message) there."""
+    with the pair's pet, computed as one kernel pass (frame_columns), a few
+    segment reductions and one PET pass (pets) per chunk of joined pairs. A
+    pair whose PET raster would be too fine gets pet None and, when
+    pet_skipped is given, an entry (scenario_id, agent_a, agent_b, message)
+    there."""
     events = []
     pairs = (((s, pair), s.agents[pair[0]], s.agents[pair[1]]) for s in scenarios for pair in s.pairs())
     for keys, a, b, bounds in joined_pairs(pairs):
         columns = frame_columns(a, b, cfg)
+        pet_values = pets([(s.agents[pair[0]], s.agents[pair[1]]) for s, pair in keys], cfg)
         starts = bounds[:-1]
         at_mei = _first_extreme(columns["mei"], starts, np.maximum)
         at_act = _first_extreme(columns["act"], starts, np.minimum)
         peaks = np.maximum.reduceat(classify_frames(columns, cfg), starts).tolist()
         # one trailing None stands for "no defined value" (index len(a))
         t, mei, act = ([*columns[name].tolist(), None] for name in ("t", "mei", "act"))
-        for (scenario, pair), i_mei, i_act, peak, count in zip(keys, at_mei, at_act, peaks, np.diff(bounds).tolist()):
+        for (scenario, pair), i_mei, i_act, peak, count, pet in zip(
+                keys, at_mei, at_act, peaks, np.diff(bounds).tolist(), pet_values):
+            if isinstance(pet, PetGridError):
+                if pet_skipped is not None:
+                    pet_skipped.append((scenario.scenario_id, *pair, str(pet)))
+                pet = None
             events.append(ConflictEvent(
                 scenario_id=scenario.scenario_id,
                 agent_pair=pair,
@@ -182,7 +177,7 @@ def corpus_events(
                 t_mei_max=t[i_mei],
                 act_min=act[i_act],
                 t_act_min=t[i_act],
-                pet=_pair_pet(scenario, pair, cfg, pet_skipped),
+                pet=pet,
                 peak_level=RiskLevel(peak),
                 frame_count=count,
             ))

@@ -47,10 +47,13 @@ FACE_TOL = 1e-9
 # below this many seconds for them to fit.
 MAX_T_S = 1e14
 
-# Grid cells evaluated per batch of boxes in PET; keeps each of the batch's
-# float temporaries at 64 kB whatever the track length. PET keeps only each
-# batch's 8 kB of inside-the-box cells, one pass per agent, and the two swept
-# rasters until the pair's value is known.
+# Grid cells evaluated per batch of boxes in PET, and window pairs compared
+# per batch of its window-meet test: a batch holds less than this plus its
+# last box, so its float temporaries stay near 64 kB whatever the track
+# length. A batch takes boxes of every pair of a chunk. Until the chunk's
+# values are known, PET keeps each pair's two swept masks, cut to where both
+# agents' windows lie, and, packed to bits, the inside-the-box cells of the
+# agent with fewer window cells.
 PET_BATCH_CELLS = 1 << 13
 
 # Frames of the a tracks per chunk of joined pairs (joined_pairs), which
@@ -684,10 +687,11 @@ def joined_pairs(pairs: Iterable[tuple[K, Track, Track]]) -> Iterator[tuple[list
         yield from _join(keys, chunk)
 
 
-def _join(keys: list[K], pairs: list[tuple[TrackArrays, TrackArrays]]
-          ) -> Iterator[tuple[list[K], TrackArrays, TrackArrays, np.ndarray]]:
-    """One chunk of joined_pairs: _common_frames of every pair at once, on
-    the distinct tracks of the chunk laid end to end."""
+def _stack(pairs: list[tuple[TrackArrays, TrackArrays]], columns: Sequence[str] = _TRACK_COLUMNS
+           ) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct tracks of pairs (by identity) laid end to end: the named
+    columns of their frames, each track's first frame and size, and per pair
+    the indices of its a and b tracks among them."""
     slot: dict[int, int] = {}
     tracks: list[TrackArrays] = []
     for track in (track for pair in pairs for track in pair):
@@ -695,12 +699,20 @@ def _join(keys: list[K], pairs: list[tuple[TrackArrays, TrackArrays]]
             tracks.append(track)
     ka, kb = np.array([[slot[id(a)], slot[id(b)]] for a, b in pairs], dtype=np.int64).T
     size = np.array([len(track) for track in tracks], dtype=np.int64)
-    start = np.cumsum(size) - size
-    frames = TrackArrays("", *(np.concatenate([getattr(tr, name) for tr in tracks]) for name in _TRACK_COLUMNS))
+    stacked = {name: np.concatenate([getattr(tr, name) for tr in tracks]) for name in columns}
+    return stacked, np.cumsum(size) - size, size, ka, kb
+
+
+def _join(keys: list[K], pairs: list[tuple[TrackArrays, TrackArrays]]
+          ) -> Iterator[tuple[list[K], TrackArrays, TrackArrays, np.ndarray]]:
+    """One chunk of joined_pairs: _common_frames of every pair at once, on
+    the distinct tracks of the chunk laid end to end."""
+    columns, start, size, ka, kb = _stack(pairs)
+    frames = TrackArrays("", **columns)
     # a (track, timestamp) code per frame; a timestamp repeated in a track
     # resolves to its last frame there
     times, rank = np.unique(frames.t_dms, return_inverse=True)
-    code = np.repeat(np.arange(len(tracks)), size) * len(times) + rank
+    code = np.repeat(np.arange(len(size)), size) * len(times) + rank
     order = np.argsort(code, kind="stable")
     last = np.append(code[order][1:] != code[order][:-1], True)
     codes, last_frame = code[order][last], order[last]
@@ -733,48 +745,222 @@ def overlap_frames(track_a: Track, track_b: Track) -> tuple[np.ndarray, np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _box_corners(tr: TrackArrays) -> tuple[np.ndarray, np.ndarray]:
-    """(4, N) corner x and y of every box, by the expressions of
-    geometry.corners, so the raster windows match it to the bit."""
-    lx, ly = 0.5 * tr.length * tr.cos_h, 0.5 * tr.length * tr.sin_h
-    wx, wy = 0.5 * tr.width * -tr.sin_h, 0.5 * tr.width * tr.cos_h
-    xs = np.stack([tr.x + lx - wx, tr.x + lx + wx, tr.x - lx - wx, tr.x - lx + wx])
-    ys = np.stack([tr.y + ly - wy, tr.y + ly + wy, tr.y - ly - wy, tr.y - ly + wy])
-    return xs, ys
+def _box_bounds(frames: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(2, N) lower and upper (x, y) corner bounds of every box, from the
+    corners by the expressions of geometry.corners, so the raster windows
+    match it to the bit."""
+    x, y, cos_h, sin_h = frames["x"], frames["y"], frames["cos_h"], frames["sin_h"]
+    lx, ly = 0.5 * frames["length"] * cos_h, 0.5 * frames["length"] * sin_h
+    wx, wy = 0.5 * frames["width"] * -sin_h, 0.5 * frames["width"] * cos_h
+    xs = np.stack([x + lx - wx, x + lx + wx, x - lx - wx, x - lx + wx])
+    ys = np.stack([y + ly - wy, y + ly + wy, y - ly - wy, y - ly + wy])
+    return np.stack([xs.min(axis=0), ys.min(axis=0)]), np.stack([xs.max(axis=0), ys.max(axis=0)])
 
 
-def _box_cells(tr: TrackArrays, corners: tuple[np.ndarray, np.ndarray], x0: float, y0: float,
-               grid: float, shape: tuple[int, int]):
-    """For each box of the track, the cells of its window whose center lies
-    inside the box (closed test), as (box, window, inside) with window a pair
-    of slices into the raster of the given shape. A box's window is its
-    corner bounds padded by more than a cell, clipped to the raster, so no
-    cell outside it can pass the test. Boxes go in batches of at most
-    PET_BATCH_CELLS window cells."""
-    xs, ys = corners
-    nx, ny = shape
-    i0 = np.maximum(0, np.trunc((xs.min(axis=0) - x0) / grid).astype(np.int64) - 1)
-    i1 = np.minimum(nx, np.trunc((xs.max(axis=0) - x0) / grid).astype(np.int64) + 2)
-    j0 = np.maximum(0, np.trunc((ys.min(axis=0) - y0) / grid).astype(np.int64) - 1)
-    j1 = np.minimum(ny, np.trunc((ys.max(axis=0) - y0) / grid).astype(np.int64) + 2)
-    boxes = np.flatnonzero((i0 < i1) & (j0 < j1))
-    if not boxes.size:
-        return
-    wi, wj = int((i1 - i0)[boxes].max()), int((j1 - j0)[boxes].max())
-    steps_i, steps_j = np.arange(wi), np.arange(wj)
-    batch = max(1, PET_BATCH_CELLS // (wi * wj))
-    windows = list(zip(boxes.tolist(), i0[boxes].tolist(), i1[boxes].tolist(),
-                       j0[boxes].tolist(), j1[boxes].tolist()))
-    for start in range(0, boxes.size, batch):
-        sel = boxes[start:start + batch]
-        dx = (x0 + (i0[sel, None] + steps_i + 0.5) * grid) - tr.x[sel, None]
-        dy = (y0 + (j0[sel, None] + steps_j + 0.5) * grid) - tr.y[sel, None]
-        c, s = tr.cos_h[sel, None, None], tr.sin_h[sel, None, None]
-        u = dx[:, :, None] * c + dy[:, None, :] * s
-        v = -dx[:, :, None] * s + dy[:, None, :] * c
-        inside = (np.abs(u) <= 0.5 * tr.length[sel, None, None]) & (np.abs(v) <= 0.5 * tr.width[sel, None, None])
-        for k, (box, bi0, bi1, bj0, bj1) in enumerate(windows[start:start + batch]):
-            yield box, (slice(bi0, bi1), slice(bj0, bj1)), inside[k, :bi1 - bi0, :bj1 - bj0]
+def _batches(sizes: np.ndarray) -> list[slice]:
+    """Runs of consecutive items for batches of about PET_BATCH_CELLS: an
+    item joins the run of the PET_BATCH_CELLS-wide stretch of the summed
+    sizes that it starts in, so a run holds less than PET_BATCH_CELLS plus
+    its last item."""
+    if not sizes.size:
+        return []
+    stretch = (np.cumsum(sizes) - sizes) // PET_BATCH_CELLS
+    edges = [0, *(np.flatnonzero(stretch[1:] != stretch[:-1]) + 1).tolist(), len(sizes)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _meeting_windows(seg: np.ndarray, lo: np.ndarray, hi: np.ndarray, pairs: int) -> np.ndarray:
+    """Per window (cells lo to hi, as (2, n) arrays; seg is pair * 2 + side),
+    whether it meets a window of the other side of its pair. Each a window
+    is compared only with the b windows of its pair whose first cell on one
+    axis lies within reach of it: b windows sorted by (pair, first cell) on
+    each axis, and per a window the axis with fewer of them; in batches of
+    about PET_BATCH_CELLS comparisons."""
+    meets = np.zeros(len(seg), dtype=bool)
+    if not len(seg):
+        return meets
+    pair = seg >> 1
+    a, b = np.flatnonzero(seg & 1 == 0), np.flatnonzero(seg & 1)
+    span = int(hi.max()) + 1
+    ranges = []
+    for axis in range(2):
+        # a b window meets an a window on this axis only if its first cell
+        # lies after the a window's first minus the pair's widest b window
+        key = pair[b] * span + lo[axis, b]
+        order = np.argsort(key, kind="stable")
+        reach = np.zeros(pairs, dtype=np.int64)
+        np.maximum.at(reach, pair[b], hi[axis, b] - lo[axis, b])
+        first = np.searchsorted(key[order], pair[a] * span + np.maximum(lo[axis, a] - reach[pair[a]] + 1, 0))
+        last = np.searchsorted(key[order], pair[a] * span + hi[axis, a])
+        ranges.append((b[order], first, last - first))
+    (by_i, first_i, count_i), (by_j, first_j, count_j) = ranges
+    on_j = (count_j < count_i).astype(np.int64)
+    first, count = np.where(on_j, first_j, first_i), np.minimum(count_i, count_j)
+    candidates = np.stack([by_i, by_j])
+    for run in _batches(count):
+        n = count[run]
+        ca = np.repeat(a[run], n)
+        cb = candidates[np.repeat(on_j[run], n), np.arange(n.sum()) + np.repeat(first[run] - (np.cumsum(n) - n), n)]
+        hit = ((lo[:, ca] < hi[:, cb]) & (lo[:, cb] < hi[:, ca])).all(axis=0)
+        meets[ca[hit]] = True
+        meets[cb[hit]] = True
+    return meets
+
+
+def _occupied(frames: dict[str, np.ndarray], box: np.ndarray, seg: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+              origin: np.ndarray, grid: float, pairs: int) -> np.ndarray:
+    """Per box (frame box of the stacked frames, of pair seg >> 1 and side
+    seg & 1, with window lo to hi of the raster at origin), whether one of
+    its cells lies in the other side's swept mask: whether a cell centre
+    lies inside the box and inside a box of the other side (closed tests).
+
+    The cells go in batches of boxes of like window shape, a window padded
+    to its batch's shape by repeating its last row and column. The side of
+    a pair with fewer window cells goes first and keeps its inside masks,
+    packed to bits, until the other side's swept mask is known; the other
+    side is tested as soon as its cells are."""
+    pair = seg >> 1
+    # each pair's raster, and each window, is cut to where both sides'
+    # windows lie, and the swept masks of every pair and side are one
+    # array: cell (i, j) of a box is swept[i * stride + own + j] of its own
+    # side, swept[i * stride + other + j] of the other
+    side_lo = np.full((2, 2 * pairs), np.iinfo(np.int64).max)
+    side_hi = np.zeros((2, 2 * pairs), dtype=np.int64)
+    for axis in range(2):
+        np.minimum.at(side_lo[axis], seg, lo[axis])
+        np.maximum.at(side_hi[axis], seg, hi[axis])
+    rect_lo = np.maximum(side_lo[:, 0::2], side_lo[:, 1::2])
+    rect = np.maximum(np.minimum(side_hi[:, 0::2], side_hi[:, 1::2]) - rect_lo, 0)
+    lo, hi = np.maximum(lo, rect_lo[:, pair]), np.minimum(hi, (rect_lo + rect)[:, pair])
+    cells = rect[0] * rect[1]
+    swept = np.zeros(2 * int(cells.sum()), dtype=bool)
+    stride = rect[1, pair]
+    base = 2 * (np.cumsum(cells) - cells)[pair] - rect_lo[0, pair] * stride - rect_lo[1, pair]
+    own, other = base + (seg & 1) * cells[pair], base + (1 - (seg & 1)) * cells[pair]
+
+    dims = hi - lo
+    size = dims[0] * dims[1]
+    side_size = np.bincount(seg, weights=size, minlength=2 * pairs).reshape(-1, 2)
+    later = (seg & 1) ^ (side_size[:, 1] < side_size[:, 0])[pair]
+    order = np.lexsort((dims[1], dims[0], later))
+    first = int(np.count_nonzero(later == 0))
+    ox, oy = origin[:, order]
+    x, y, cos_h, sin_h, length, width = (frames[name][box[order]]
+                                         for name in ("x", "y", "cos_h", "sin_h", "length", "width"))
+    half_l, half_w = 0.5 * length, 0.5 * width
+    lo, dims, size, stride, own, other = lo[:, order], dims[:, order], size[order], stride[order], own[order], other[order]
+    steps = np.arange(dims.max(initial=0))
+
+    def window(run):
+        wi, wj = dims[:, run].max(axis=1).tolist()
+        i = lo[0, run, None] + np.minimum(steps[:wi], dims[0, run, None] - 1)
+        j = lo[1, run, None] + np.minimum(steps[:wj], dims[1, run, None] - 1)
+        return i, j
+
+    def inside(run, i, j):
+        dx = (ox[run, None] + (i + 0.5) * grid) - x[run, None]
+        dy = (oy[run, None] + (j + 0.5) * grid) - y[run, None]
+        c, s = cos_h[run, None], sin_h[run, None]
+        # the box frame coordinates u = dx c + dy s and v = -dx s + dy c of
+        # every cell centre, from the products per row and per column
+        uv = np.add((dx * c)[:, :, None], (dy * s)[:, None, :])
+        mask = np.abs(uv, out=uv) <= half_l[run, None, None]
+        np.add((-dx * s)[:, :, None], (dy * c)[:, None, :], out=uv)
+        mask &= np.abs(uv, out=uv) <= half_w[run, None, None]
+        return mask
+
+    def index(run, i, j, side_base):
+        return np.add((i * stride[run, None] + side_base[run, None])[:, :, None], j[:, None, :])
+
+    occupied = np.zeros(len(box), dtype=bool)
+    kept = []
+    for run in _batches(size[:first]):
+        i, j = window(run)
+        mask = inside(run, i, j)
+        swept[index(run, i, j, own)[mask]] = True
+        kept.append((run, mask.shape, np.packbits(mask)))
+    for run in _batches(size[first:]):
+        run = slice(run.start + first, run.stop + first)
+        i, j = window(run)
+        mask = inside(run, i, j)
+        swept[index(run, i, j, own)[mask]] = True
+        occupied[run] = (mask & swept[index(run, i, j, other)]).any(axis=(1, 2))
+    for run, shape, bits in kept:
+        i, j = window(run)
+        mask = np.unpackbits(bits, count=math.prod(shape)).reshape(shape).view(bool)
+        occupied[run] = (mask & swept[index(run, i, j, other)]).any(axis=(1, 2))
+    result = np.empty_like(occupied)
+    result[order] = occupied
+    return result
+
+
+def pets(pairs: Sequence[tuple[Track, Track]], cfg: MetricsConfig = MetricsConfig()) -> list[float | PetGridError | None]:
+    """pet() of many pairs in one pass: per pair its PET, or the PetGridError
+    pet() raises for it; None for a pair with a track of fewer than 2 frames.
+
+    Box corners and bounds are computed once per distinct track, and the
+    swept bounding boxes of all pairs are tested at once. A pair whose boxes
+    meet gets pet()'s raster, but only the boxes whose integer window meets
+    a window of the other agent's are rasterized, and only where both
+    agents' windows lie: no other cell can be in the conflict zone. The
+    boxes of all pairs go in shared batches, each cell once; a box occupies
+    the zone iff one of its cells lies in the other agent's swept mask."""
+    pairs = [(as_arrays(a), as_arrays(b)) for a, b in pairs]
+    result: list[float | PetGridError | None] = [None] * len(pairs)
+    index = [k for k, (a, b) in enumerate(pairs) if len(a) >= 2 and len(b) >= 2]
+    if not index:
+        return result
+    frames, start, size, ka, kb = _stack([pairs[k] for k in index],
+                                         ("t_dms", "x", "y", "cos_h", "sin_h", "length", "width"))
+    grid = cfg.pet_grid
+    box_lo, box_hi = _box_bounds(frames)
+    track_lo = np.minimum.reduceat(box_lo, start, axis=1)
+    track_hi = np.maximum.reduceat(box_hi, start, axis=1)
+
+    # the window where the swept bounding boxes meet, and its raster
+    zone_lo, zone_hi = np.maximum(track_lo[:, ka], track_lo[:, kb]), np.minimum(track_hi[:, ka], track_hi[:, kb])
+    origin = np.floor(zone_lo / grid) * grid - grid
+    shape = np.ceil((zone_hi - origin) / grid) + 2
+    meet = (zone_lo <= zone_hi).all(axis=0)
+    too_fine = meet & (shape[0] * shape[1] > 100_000_000)
+    for k in np.flatnonzero(too_fine).tolist():
+        width, height = (zone_hi[:, k] - zone_lo[:, k]).tolist()
+        result[index[k]] = PetGridError(
+            f"pet_grid={grid} is too fine for a {width:.0f} x {height:.0f} m "
+            "swept-footprint window; raise pet_grid"
+        )
+    live = np.flatnonzero(meet & ~too_fine)
+    if not live.size:
+        return result
+    origin, shape = origin[:, live], shape[:, live].astype(np.int64)
+
+    # every box of each live pair, a's before b's; seg is pair * 2 + side
+    track = np.stack([ka[live], kb[live]], axis=1).ravel()
+    count = size[track]
+    seg = np.repeat(np.arange(len(track)), count)
+    box = np.arange(count.sum()) + np.repeat(start[track] - (np.cumsum(count) - count), count)
+    pair = seg >> 1
+    # a box's window is its corner bounds padded by more than a cell and
+    # clipped to the raster, so no cell outside it can pass the inside test
+    lo = np.maximum(0, np.trunc((box_lo[:, box] - origin[:, pair]) / grid).astype(np.int64) - 1)
+    hi = np.minimum(shape[:, pair], np.trunc((box_hi[:, box] - origin[:, pair]) / grid).astype(np.int64) + 2)
+    keep = np.flatnonzero((lo < hi).all(axis=0))
+    keep = keep[_meeting_windows(seg[keep], lo[:, keep], hi[:, keep], len(live))]
+    seg, box, pair, lo, hi = seg[keep], box[keep], pair[keep], lo[:, keep], hi[:, keep]
+    occupied = _occupied(frames, box, seg, lo, hi, origin[:, pair], grid, len(live))
+
+    # the least gap between an occupancy time of a and one of b is the least
+    # gap between neighbours of different sides among the pair's sorted times
+    pair, side, t = pair[occupied], seg[occupied] & 1, frames["t_dms"][box[occupied]]
+    order = np.lexsort((t, pair))
+    pair, side, t = pair[order], side[order], t[order]
+    cross = (pair[1:] == pair[:-1]) & (side[1:] != side[:-1])
+    gap = np.full(len(live), np.iinfo(np.int64).max)
+    np.minimum.at(gap, pair[1:][cross], (t[1:] - t[:-1])[cross])
+    for k, value in zip(live.tolist(), gap.tolist()):
+        if value < np.iinfo(np.int64).max:
+            result[index[k]] = value / 1e4
+    return result
 
 
 def pet(
@@ -782,56 +968,21 @@ def pet(
     track_b: Track,
     cfg: MetricsConfig = MetricsConfig(),
 ) -> float | None:
-    """Post-encroachment time over the shared conflict zone.
+    """Post-encroachment time over the shared conflict zone: the one-pair
+    call of pets().
 
     The zone is the intersection of the two swept footprints, rasterized at
-    cfg.pet_grid; the result is the gap between the earlier agent's last exit
-    from the zone and the later agent's first entry. 0 when both agents
-    occupy the zone at the same frame; None when the sweeps never intersect.
+    cfg.pet_grid; a box occupies it when one of its cells does. PET is the
+    least gap |t_a - t_b| between an occupancy time of each agent: 0 when
+    both agents occupy the zone at the same frame, and otherwise the gap
+    between the earlier agent's last exit and the later agent's first entry
+    when their occupancy does not interleave. None when the zone is empty.
     Raises PetGridError when the raster would exceed 1e8 cells.
     """
     a, b = as_arrays(track_a), as_arrays(track_b)
     if len(a) < 2 or len(b) < 2:
         raise ValueError("PET needs at least 2 frames per track")
-    grid = cfg.pet_grid
-    corners_a, corners_b = _box_corners(a), _box_corners(b)
-
-    minx = max(float(corners_a[0].min()), float(corners_b[0].min()))
-    maxx = min(float(corners_a[0].max()), float(corners_b[0].max()))
-    miny = max(float(corners_a[1].min()), float(corners_b[1].min()))
-    maxy = min(float(corners_a[1].max()), float(corners_b[1].max()))
-    if minx > maxx or miny > maxy:
-        return None
-
-    x0 = math.floor(minx / grid) * grid - grid
-    y0 = math.floor(miny / grid) * grid - grid
-    nx = int(math.ceil((maxx - x0) / grid)) + 2
-    ny = int(math.ceil((maxy - y0) / grid)) + 2
-    if nx * ny > 100_000_000:
-        raise PetGridError(
-            f"pet_grid={grid} is too fine for a {maxx - minx:.0f} x {maxy - miny:.0f} m "
-            "swept-footprint window; raise pet_grid"
-        )
-
-    cells, swept = [], []
-    for tr, corners in ((a, corners_a), (b, corners_b)):
-        cells.append(list(_box_cells(tr, corners, x0, y0, grid, (nx, ny))))
-        mask = np.zeros((nx, ny), dtype=bool)
-        for _, window, inside in cells[-1]:
-            mask[window] |= inside
-        swept.append(mask)
-    # a box's cells lie in its own swept mask, so it occupies the zone
-    # swept_a & swept_b iff one of them lies in the other agent's mask
-    times_a, times_b = (
-        tr.t_dms[np.array([box for box, window, inside in boxes if (inside & other[window]).any()], dtype=np.int64)]
-        for tr, boxes, other in ((a, cells[0], swept[1]), (b, cells[1], swept[0]))
-    )
-    if not times_a.size or not times_b.size:
-        return None
-    if np.intersect1d(times_a, times_b).size:
-        return 0.0
-    if times_a.min() < times_b.min():
-        earlier, later = times_a, times_b
-    else:
-        earlier, later = times_b, times_a
-    return (int(later.min()) - int(earlier.max())) / 1e4
+    (value,) = pets([(a, b)], cfg)
+    if isinstance(value, PetGridError):
+        raise value
+    return value

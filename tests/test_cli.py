@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import conflictmetrics
 from conflictmetrics.cli import EXIT_EMPTY, EXIT_NOT_FOUND, EXIT_OK, EXIT_SCHEMA, _runs, main
 from conflictmetrics.metrics import MetricsConfig
 from conflictmetrics.trajio import parse_canonical
@@ -149,6 +154,22 @@ class TestEvents:
         assert manifest["config"]["tem_star"] == 3.0
         assert manifest["counts"]["events"] == 2
         assert manifest["outputs"] == ["events.csv"]
+
+    def test_events_leaves_numpy_ma_unimported(self, tmp_path, corpus_file):
+        """numpy's intersect1d, isin and unique without index outputs import
+        numpy.ma on first use; events, PET included, calls none of them."""
+        src = str(Path(conflictmetrics.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = ("import sys\n"
+               "import conflictmetrics.cli as cli\n"
+               "code = cli.main(['events', '--input', sys.argv[1], '--out', sys.argv[2]])\n"
+               "print(code, 'numpy.ma' in sys.modules)\n")
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-c", run, str(corpus_file), str(out)],
+                              capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout.split() == [str(EXIT_OK), "False"]
+        pets = [line.split(",")[7] for line in (out / "events.csv").read_text().splitlines()[1:]]
+        assert any(pets)
 
 
 class TestThresholds:

@@ -8,13 +8,17 @@ whole batch of unrelated pairs through compute_pair_frames as the frames of
 one pair track.
 """
 
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conflictmetrics import classify, metrics
+from conflictmetrics.classify import corpus_events
 from conflictmetrics.geometry import (
     OrientedBox,
     Vec2,
@@ -38,6 +42,7 @@ from conflictmetrics.metrics import (
     relative_kinematics,
     tem_ttc2d,
 )
+from conflictmetrics.trajio import Scenario
 from helpers import close, random_agent
 
 TOL = 1e-9
@@ -293,12 +298,14 @@ def _swept_bounds(track):
     return min(p.x for p in pts), min(p.y for p in pts), max(p.x for p in pts), max(p.y for p in pts)
 
 
-def _reference_pet(track_a, track_b, grid):
-    """PET by one box at a time, with the geometry module's corners."""
+def _reference_occupancy(track_a, track_b, grid):
+    """Each agent's zone-occupancy timestamps (t_dms), by one box at a time
+    with the geometry module's corners; empty when the swept bounding boxes
+    do not meet."""
     (aminx, aminy, amaxx, amaxy), (bminx, bminy, bmaxx, bmaxy) = _swept_bounds(track_a), _swept_bounds(track_b)
     minx, maxx, miny, maxy = max(aminx, bminx), min(amaxx, bmaxx), max(aminy, bminy), min(amaxy, bmaxy)
     if minx > maxx or miny > maxy:
-        return None
+        return [], []
     x0 = math.floor(minx / grid) * grid - grid
     y0 = math.floor(miny / grid) * grid - grid
     nx = int(math.ceil((maxx - x0) / grid)) + 2
@@ -318,29 +325,34 @@ def _reference_pet(track_a, track_b, grid):
         return mask
 
     zi, zj = np.nonzero(swept(track_a) & swept(track_b))
-    if not len(zi):
-        return None
     zx, zy = xs[zi], ys[zj]
-    times_a = [s.t_dms for s in track_a if inside(s, zx, zy).any()]
-    times_b = [s.t_dms for s in track_b if inside(s, zx, zy).any()]
+    return ([s.t_dms for s in track_a if inside(s, zx, zy).any()],
+            [s.t_dms for s in track_b if inside(s, zx, zy).any()])
+
+
+def _reference_pet(track_a, track_b, grid):
+    """PET as the least gap between an occupancy time of each agent."""
+    times_a, times_b = _reference_occupancy(track_a, track_b, grid)
     if not times_a or not times_b:
         return None
-    if set(times_a) & set(times_b):
-        return 0.0
-    earlier, later = (times_a, times_b) if min(times_a) < min(times_b) else (times_b, times_a)
-    return (min(later) - max(earlier)) / 1e4
+    return min(abs(ta - tb) for ta in times_a for tb in times_b) / 1e4
+
+
+def _straight(agent_id, point, n, heading, speed, length, width, at):
+    """A straight track of n frames, 0.1 s apart from t = 0, that passes
+    point at time at."""
+    return [
+        AgentState(agent_id, round(0.1 * i, 1), point[0] + (0.1 * i - at) * speed * math.cos(heading),
+                   point[1] + (0.1 * i - at) * speed * math.sin(heading), speed, heading, length, width)
+        for i in range(n)
+    ]
 
 
 def _track_through(rng, agent_id, point, n):
     """A straight track of n frames that passes point at a random frame."""
     heading, speed = rng.uniform(-math.pi, math.pi), rng.uniform(0.5, 30.0)
     length, width = rng.uniform(0.2, 6.0), rng.uniform(0.2, 3.0)
-    at = rng.uniform(0.0, 0.1 * n)
-    return [
-        AgentState(agent_id, round(0.1 * i, 1), point[0] + (0.1 * i - at) * speed * math.cos(heading),
-                   point[1] + (0.1 * i - at) * speed * math.sin(heading), speed, heading, length, width)
-        for i in range(n)
-    ]
+    return _straight(agent_id, point, n, heading, speed, length, width, rng.uniform(0.0, 0.1 * n))
 
 
 def test_batched_pet_matches_box_by_box_raster():
@@ -365,3 +377,115 @@ def test_batched_pet_matches_box_by_box_raster():
         zone_empty += got is None and bounds_meet
     assert defined >= 20
     assert zone_empty >= 5
+
+
+@st.composite
+def nearby_tracks(draw, frames=st.integers(2, 25)):
+    """Straight tracks through points up to 1.5 m apart; b runs along a's
+    line, either way, or across it. Fast, short boxes leave gaps between
+    frames, so an agent can occupy the zone, leave it and occupy it again
+    while the other occupies it in between."""
+    point = (draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0)))
+    heading = draw(st.floats(-math.pi, math.pi))
+    turn = draw(st.sampled_from([0.0, math.pi]) | st.floats(-math.pi, math.pi)) + draw(st.floats(-0.3, 0.3))
+
+    def track(agent_id, point, heading):
+        n = draw(frames)
+        return _straight(agent_id, point, n, heading, draw(st.floats(0.5, 30.0)), draw(st.floats(0.2, 2.0)),
+                         draw(st.floats(0.2, 2.0)), draw(st.floats(0.0, 0.1 * n)))
+
+    other = (point[0] + draw(st.floats(-1.5, 1.5)), point[1] + draw(st.floats(-1.5, 1.5)))
+    return track("a", point, heading), track("b", other, heading + turn)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nearby_tracks(), st.floats(0.25, 0.5))
+def test_pet_is_the_least_gap_between_occupancy_times(tracks, grid):
+    track_a, track_b = tracks
+    cfg = MetricsConfig(pet_grid=grid)
+    got = pet(track_a, track_b, cfg)
+    times_a, times_b = _reference_occupancy(track_a, track_b, grid)
+    assert (got is None) == (not times_a or not times_b)
+    assert got is None or got >= 0.0
+    assert got == pet(track_b, track_a, cfg) == _reference_pet(track_a, track_b, grid)
+
+
+def test_pet_of_interleaved_occupancy_is_the_least_gap():
+    """a holds the crossing at 0.9-1.4 s and 2.5-2.9 s, b at 0.0-0.1 s and
+    1.5-2.1 s, each waiting elsewhere in between: PET is 1.5 - 1.4 s, where
+    the gap from the first agent's last exit to the other's first entry
+    would be 0.9 - 2.1 s."""
+
+    def track(agent_id, at_zone, away, frames):
+        return [AgentState(agent_id, round(0.1 * i, 1), *((0.0, 0.0) if i in at_zone else away), 0.0, 0.0, 2.0, 2.0)
+                for i in range(frames)]
+
+    track_a = track("a", {*range(9, 15), *range(25, 30)}, (10.0, 0.0), 30)
+    track_b = track("b", {0, 1, *range(15, 22)}, (0.0, 10.0), 22)
+    times_a, times_b = _reference_occupancy(track_a, track_b, 0.1)
+    assert times_a == [*range(9000, 15000, 1000), *range(25000, 30000, 1000)]
+    assert times_b == [0, 1000, *range(15000, 22000, 1000)]
+    assert pet(track_a, track_b) == pet(track_b, track_a) == 0.1
+
+
+@st.composite
+def pet_scenarios(draw, frames):
+    """3-4 agents of `frames` frames whose straight tracks pass points near
+    one another, so each track is in several pairs; the last agent may hold
+    one frame, so it is never a pair's a track."""
+    tracks = draw(nearby_tracks(st.just(frames))) + draw(nearby_tracks(st.just(frames)))
+    agents = {f"a{k}": [dataclasses.replace(s, agent_id=f"a{k}") for s in track]
+              for k, track in enumerate(tracks[:draw(st.integers(3, 4))])}
+    if draw(st.booleans()):
+        last = max(agents)
+        agents[last] = agents[last][:1]
+    return Scenario(scenario_id=draw(st.sampled_from(["s1", "s2"])), agents=agents)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(2, 12), st.sampled_from([0.25, 0.5]), st.sampled_from([1, 3]))
+def test_corpus_pet_equals_the_box_by_box_reference(data, frames, grid, chunk_pairs):
+    corpus = data.draw(st.lists(pet_scenarios(frames), min_size=1, max_size=3))
+    with mock.patch.object(metrics, "KERNEL_BATCH_FRAMES", chunk_pairs * frames), \
+            mock.patch.object(classify, "pets", wraps=metrics.pets) as spy:
+        events = corpus_events(corpus, MetricsConfig(pet_grid=grid))
+    assert max(len(call.args[0]) for call in spy.call_args_list) == min(chunk_pairs, len(events))
+    expected = []
+    for scenario in corpus:
+        for a, b in scenario.pairs():
+            track_a, track_b = scenario.agents[a], scenario.agents[b]
+            if compute_pair_frames(track_a, track_b):
+                two = len(track_a) >= 2 and len(track_b) >= 2
+                expected.append(_reference_pet(track_a, track_b, grid) if two else None)
+    assert [event.pet for event in events] == expected
+
+
+def test_too_fine_pair_leaves_its_chunk_neighbours_pet():
+    """In each scenario the long diagonals b and d share a 150 m x 150 m
+    window, too fine at 0.01 m, while the pedestrians a and c cross far
+    from them: one chunk holds both scenarios' pairs."""
+
+    def track(agent_id, start, step, frames, size):
+        return [AgentState(agent_id, round(0.1 * i, 1), start[0] + i * step[0], start[1] + i * step[1], 1.0,
+                           math.atan2(step[1], step[0]), size, size) for i in range(frames)]
+
+    def scenario(scenario_id):
+        return Scenario(scenario_id, {
+            "a": track("a", (499.0, 500.0), (0.2, 0.0), 11, 0.6),
+            "b": track("b", (0.0, 0.0), (15.0, 15.0), 11, 4.0),
+            "c": track("c", (500.0, 499.0), (0.0, 0.2), 11, 0.6),
+            "d": track("d", (150.0, 0.0), (-15.0, 15.0), 11, 4.0),
+        })
+
+    corpus = [scenario("s1"), scenario("s2")]
+    skipped = []
+    events = corpus_events(corpus, MetricsConfig(pet_grid=0.01), skipped)
+    (bminx, bminy, bmaxx, bmaxy), (dminx, dminy, dmaxx, dmaxy) = (
+        _swept_bounds(corpus[0].agents["b"]), _swept_bounds(corpus[0].agents["d"]))
+    message = (f"pet_grid=0.01 is too fine for a {min(bmaxx, dmaxx) - max(bminx, dminx):.0f} x "
+               f"{min(bmaxy, dmaxy) - max(bminy, dminy):.0f} m swept-footprint window; raise pet_grid")
+    assert skipped == [("s1", "b", "d", message), ("s2", "b", "d", message)]
+    crossing = _reference_pet(corpus[0].agents["a"], corpus[0].agents["c"], 0.01)
+    assert crossing is not None
+    assert [(e.scenario_id, e.agent_pair, e.pet) for e in events] == [
+        (sid, pair, crossing if pair == ("a", "c") else None) for sid in ("s1", "s2") for pair in corpus[0].pairs()]
