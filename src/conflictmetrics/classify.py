@@ -6,9 +6,11 @@ frame with footprint contact is a Crash, and the remaining frames split into
 Critical (evasive time at most tem_star with non-negative intrusion depth)
 versus Potential conflicts.
 
-classify_frame and extract_event are the one-pair reference on FrameMetrics;
-corpus_events and filter_collision_scenarios compute the same results for a
-whole corpus on metric columns, one kernel pass per chunk of joined pairs.
+The rule is stated once on metric columns (classify_frames) and the event
+reduction once on segments of them (_reduce). corpus_events and
+filter_collision_scenarios run them for a whole corpus, one kernel pass per
+chunk of joined pairs; classify_frame and extract_event are their one-frame
+and one-pair calls on FrameMetrics.
 """
 
 from __future__ import annotations
@@ -45,23 +47,8 @@ _LABELS = {
 
 
 def classify_frame(fm: FrameMetrics, cfg: MetricsConfig = MetricsConfig()) -> RiskLevel:
-    """Risk level of one frame.
-
-    Crash detection is geometric (footprint overlap) rather than the limit
-    conditions tem -> 0 / mei -> inf, which are its analytic shadows.
-    """
-    if fm.overlap:
-        return RiskLevel.CRASH
-    if not fm.q_active:
-        return RiskLevel.NON_CONFLICT
-    if (
-        fm.tem is not None
-        and fm.tem <= cfg.tem_star
-        and fm.in_depth is not None
-        and fm.in_depth >= 0.0
-    ):
-        return RiskLevel.CRITICAL_CONFLICT
-    return RiskLevel.POTENTIAL_CONFLICT
+    """Risk level of one frame: classify_frames of its columns."""
+    return RiskLevel(classify_frames(_columns([fm]), cfg).item())
 
 
 @dataclass(frozen=True)
@@ -86,41 +73,30 @@ def extract_event(
     pet: float | None,
     cfg: MetricsConfig = MetricsConfig(),
 ) -> ConflictEvent:
-    """Aggregate frame metrics into one event.
-
-    Undefined per-frame values are skipped, not treated as zero; ties in the
-    max/min are broken by the earliest timestamp. Raises on an empty stream.
-    """
+    """Aggregate frame metrics into one event: the frames, stably sorted by
+    time, as one segment of _reduce. Raises on an empty stream."""
     if not frames:
         raise ValueError("cannot extract an event from an empty frame list")
     ordered = sorted(frames, key=lambda fm: fm.t)
-    mei_max = t_mei_max = None
-    act_min = t_act_min = None
-    peak = RiskLevel.NON_CONFLICT
-    for fm in ordered:
-        if fm.mei is not None and (mei_max is None or fm.mei > mei_max):
-            mei_max, t_mei_max = fm.mei, fm.t
-        if fm.act is not None and (act_min is None or fm.act < act_min):
-            act_min, t_act_min = fm.act, fm.t
-        level = classify_frame(fm, cfg)
-        if level > peak:
-            peak = level
-    return ConflictEvent(
-        scenario_id=scenario_id,
-        agent_pair=agent_pair,
-        mei_max=mei_max,
-        t_mei_max=t_mei_max,
-        act_min=act_min,
-        t_act_min=t_act_min,
-        pet=pet,
-        peak_level=peak,
-        frame_count=len(ordered),
-    )
+    ((mei_max, t_mei_max, act_min, t_act_min, peak, count),) = _reduce(_columns(ordered), np.zeros(1, np.int64), cfg)
+    return ConflictEvent(scenario_id, agent_pair, mei_max, t_mei_max, act_min, t_act_min, pet, peak, count)
+
+
+def _columns(frames: Sequence[FrameMetrics]) -> dict[str, np.ndarray]:
+    """The fields of frames that classify_frames and _reduce read, as
+    columns; an undefined (None) value becomes NaN."""
+    columns = {name: np.array([getattr(fm, name) for fm in frames], dtype=np.float64)
+               for name in ("t", "in_depth", "tem", "mei", "act")}
+    columns.update({name: np.array([getattr(fm, name) for fm in frames], dtype=bool)
+                    for name in ("q_active", "overlap")})
+    return columns
 
 
 def classify_frames(columns: dict[str, np.ndarray], cfg: MetricsConfig = MetricsConfig()) -> np.ndarray:
-    """classify_frame over the metric columns of many frames (frame_columns):
-    one RiskLevel value per frame, as integers."""
+    """The risk level of each frame of metric columns (frame_columns), as
+    integers. Crash detection is geometric (footprint overlap) rather than
+    the limit conditions tem -> 0 / mei -> inf, which are its analytic
+    shadows; an undefined (NaN) tem or in_depth is never critical."""
     return np.select(
         [columns["overlap"], ~columns["q_active"], (columns["tem"] <= cfg.tem_star) & (columns["in_depth"] >= 0.0)],
         [RiskLevel.CRASH, RiskLevel.NON_CONFLICT, RiskLevel.CRITICAL_CONFLICT],
@@ -132,13 +108,29 @@ def _first_extreme(values: np.ndarray, starts: np.ndarray, reduce: np.ufunc) -> 
     """Per segment of values (segments begin at starts), the index of the
     first defined value equal to the segment's extreme under reduce
     (np.maximum or np.minimum), NaN being undefined; len(values) for a
-    segment without a defined value. This is extract_event's strict
-    comparison walk: the earliest frame wins a tie."""
+    segment without a defined value. The earliest frame wins a tie."""
     defined = ~np.isnan(values)
     filled = np.where(defined, values, -np.inf if reduce is np.maximum else np.inf)
     extreme = np.repeat(reduce.reduceat(filled, starts), np.diff(starts, append=len(values)))
     index = np.where(defined & (filled == extreme), np.arange(len(values)), len(values))
     return np.minimum.reduceat(index, starts).tolist()
+
+
+def _reduce(columns: dict[str, np.ndarray], starts: np.ndarray, cfg: MetricsConfig
+            ) -> list[tuple[float | None, float | None, float | None, float | None, RiskLevel, int]]:
+    """Per segment of time-ordered metric columns (segments begin at starts):
+    (mei_max, t_mei_max, act_min, t_act_min, peak level, frame count).
+    Undefined values are skipped, not treated as zero; ties in the max/min
+    go to the earliest frame, and a segment without a defined value gives
+    None and None."""
+    at_mei = _first_extreme(columns["mei"], starts, np.maximum)
+    at_act = _first_extreme(columns["act"], starts, np.minimum)
+    peaks = np.maximum.reduceat(classify_frames(columns, cfg), starts).tolist()
+    counts = np.diff(starts, append=len(columns["t"])).tolist()
+    # one trailing None stands for "no defined value" (index len(t))
+    t, mei, act = ([*columns[name].tolist(), None] for name in ("t", "mei", "act"))
+    return [(mei[i], t[i], act[j], t[j], RiskLevel(peak), count)
+            for i, j, peak, count in zip(at_mei, at_act, peaks, counts)]
 
 
 def corpus_events(
@@ -147,40 +139,23 @@ def corpus_events(
     pet_skipped: list[tuple[str, str, str, str]] | None = None,
 ) -> list[ConflictEvent]:
     """The event of every pair with common frames, scenario by scenario in
-    Scenario.pairs order: bit for bit extract_event of compute_pair_frames
-    with the pair's pet, computed as one kernel pass (frame_columns), a few
-    segment reductions and one PET pass (pets) per chunk of joined pairs. A
-    pair whose PET raster would be too fine gets pet None and, when
-    pet_skipped is given, an entry (scenario_id, agent_a, agent_b, message)
-    there."""
+    Scenario.pairs order, computed as one kernel pass (frame_columns), one
+    _reduce and one PET pass (pets) per chunk of joined pairs. A pair whose
+    PET raster would be too fine gets pet None and, when pet_skipped is
+    given, an entry (scenario_id, agent_a, agent_b, message) there."""
     events = []
     pairs = (((s, pair), s.agents[pair[0]], s.agents[pair[1]]) for s in scenarios for pair in s.pairs())
     for keys, a, b, bounds in joined_pairs(pairs):
-        columns = frame_columns(a, b, cfg)
+        reduced = _reduce(frame_columns(a, b, cfg), bounds[:-1], cfg)
         pet_values = pets([(s.agents[pair[0]], s.agents[pair[1]]) for s, pair in keys], cfg)
-        starts = bounds[:-1]
-        at_mei = _first_extreme(columns["mei"], starts, np.maximum)
-        at_act = _first_extreme(columns["act"], starts, np.minimum)
-        peaks = np.maximum.reduceat(classify_frames(columns, cfg), starts).tolist()
-        # one trailing None stands for "no defined value" (index len(a))
-        t, mei, act = ([*columns[name].tolist(), None] for name in ("t", "mei", "act"))
-        for (scenario, pair), i_mei, i_act, peak, count, pet in zip(
-                keys, at_mei, at_act, peaks, np.diff(bounds).tolist(), pet_values):
+        for (scenario, pair), (mei_max, t_mei_max, act_min, t_act_min, peak, count), pet in zip(
+                keys, reduced, pet_values):
             if isinstance(pet, PetGridError):
                 if pet_skipped is not None:
                     pet_skipped.append((scenario.scenario_id, *pair, str(pet)))
                 pet = None
-            events.append(ConflictEvent(
-                scenario_id=scenario.scenario_id,
-                agent_pair=pair,
-                mei_max=mei[i_mei],
-                t_mei_max=t[i_mei],
-                act_min=act[i_act],
-                t_act_min=t[i_act],
-                pet=pet,
-                peak_level=RiskLevel(peak),
-                frame_count=count,
-            ))
+            events.append(ConflictEvent(scenario.scenario_id, pair, mei_max, t_mei_max, act_min, t_act_min,
+                                        pet, peak, count))
     return events
 
 

@@ -185,6 +185,8 @@ def cmd_frames(args: argparse.Namespace) -> int:
         pair = tuple(args.pair.split(","))
         if len(pair) != 2:
             raise NotFoundError("--pair must be two agent ids separated by a comma")
+        if pair[0] == pair[1]:
+            raise NotFoundError("--pair must name two different agents")
         for agent_id in pair:
             if agent_id not in scenario.agents:
                 raise NotFoundError(f"agent {agent_id!r} not in scenario {scenario.scenario_id!r}")
@@ -503,7 +505,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="critical-conflict TEM threshold in seconds (default 3)")
     parser.add_argument("--q", choices=["approach_distance", "always_true"],
                         default="approach_distance", help="conflict predicate")
-    parser.add_argument("--mei-cap", dest="mei_cap", type=float, default=None,
+    parser.add_argument("--mei-cap", dest="mei_cap", default=None,
+                        type=_checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0"),
                         help="optional clamp on reported MEI values")
     parser.add_argument("--pet-grid", dest="pet_grid", default=0.1,
                         type=_checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0"),

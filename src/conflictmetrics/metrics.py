@@ -125,10 +125,16 @@ class MetricsConfig:
     def __post_init__(self) -> None:
         if self.d_safe < 0:
             raise ValueError("d_safe must be >= 0")
-        if self.tem_star <= 0:
+        if not self.tem_star > 0:
             raise ValueError("tem_star must be > 0")
         if self.pet_grid <= 0:
             raise ValueError("pet_grid must be > 0")
+        if self.mei_cap is not None and self.mei_cap <= 0:
+            raise ValueError("mei_cap must be > 0")
+        for name in ("d_safe", "pet_grid", "mei_cap"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.q_predicate not in Q_PREDICATES:
             raise ValueError(f"unknown q_predicate {self.q_predicate!r}")
 
@@ -290,22 +296,6 @@ K = TypeVar("K")
 
 def as_arrays(track: Track) -> TrackArrays:
     return track if isinstance(track, TrackArrays) else TrackArrays.from_states(track)
-
-
-def _common_frames(a: TrackArrays, b: TrackArrays) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (ia, ib) of the frames two tracks share, ordered by a's time.
-    A timestamp repeated in b resolves to its last frame, one repeated in a
-    gives one frame per repeat."""
-    if not len(a) or not len(b):
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
-    keys, first = np.unique(b.t_dms[::-1], return_index=True)
-    last = len(b) - 1 - first
-    pos = np.minimum(np.searchsorted(keys, a.t_dms), len(keys) - 1)
-    ia = np.flatnonzero(keys[pos] == a.t_dms)
-    ib = last[pos[ia]]
-    order = np.argsort(a.t[ia], kind="stable")
-    return ia[order], ib[order]
 
 
 # ---------------------------------------------------------------------------
@@ -657,12 +647,11 @@ def compute_pair_frames(
     cfg: MetricsConfig = MetricsConfig(),
 ) -> list[FrameMetrics]:
     """Frame metrics over the common clock of two time-sorted tracks, given
-    as AgentState sequences or as TrackArrays."""
-    a, b = as_arrays(track_a), as_arrays(track_b)
-    ia, ib = _common_frames(a, b)
-    if not len(ia):
-        return []
-    return _frames(a.take(ia), b.take(ib), cfg)
+    as AgentState sequences or as TrackArrays: the one-pair call of
+    joined_pairs."""
+    for _, a, b, _ in joined_pairs([(None, track_a, track_b)]):
+        return _frames(a, b, cfg)
+    return []
 
 
 def joined_pairs(pairs: Iterable[tuple[K, Track, Track]]) -> Iterator[tuple[list[K], TrackArrays, TrackArrays, np.ndarray]]:
@@ -671,7 +660,10 @@ def joined_pairs(pairs: Iterable[tuple[K, Track, Track]]) -> Iterator[tuple[list
     frames together (a pair with more is a chunk of its own). Yields per
     chunk the keys of its pairs with common frames, one frame-aligned
     TrackArrays per side, and the segment bounds: pair k holds frames
-    bounds[k]:bounds[k + 1], in compute_pair_frames' order."""
+    bounds[k]:bounds[k + 1]. A pair's common frames are its a track's frames
+    whose timestamp b holds, in a's time order (stably); a timestamp repeated
+    in b resolves to its last frame there, one repeated in a gives one frame
+    per repeat."""
     keys: list[K] = []
     chunk: list[tuple[TrackArrays, TrackArrays]] = []
     width = 0
@@ -705,8 +697,8 @@ def _stack(pairs: list[tuple[TrackArrays, TrackArrays]], columns: Sequence[str] 
 
 def _join(keys: list[K], pairs: list[tuple[TrackArrays, TrackArrays]]
           ) -> Iterator[tuple[list[K], TrackArrays, TrackArrays, np.ndarray]]:
-    """One chunk of joined_pairs: _common_frames of every pair at once, on
-    the distinct tracks of the chunk laid end to end."""
+    """One chunk of joined_pairs: the common frames of every pair at once,
+    on the distinct tracks of the chunk laid end to end."""
     columns, start, size, ka, kb = _stack(pairs)
     frames = TrackArrays("", **columns)
     # a (track, timestamp) code per frame; a timestamp repeated in a track
@@ -724,20 +716,12 @@ def _join(keys: list[K], pairs: list[tuple[TrackArrays, TrackArrays]]
     pos = np.minimum(np.searchsorted(codes, query), len(codes) - 1)
     found = codes[pos] == query
     ia, ib, segment = ia[found], last_frame[pos[found]], segment[found]
-    # each segment in a's time order, stably, as _common_frames
+    # each segment in a's time order, stably
     order = np.lexsort((frames.t[ia], segment))
     count = np.bincount(segment, minlength=len(pairs))
     if ia.size:
         yield ([key for key, n in zip(keys, count.tolist()) if n], frames.take(ia[order]), frames.take(ib[order]),
                np.cumsum([0, *count[count > 0].tolist()]))
-
-
-def overlap_frames(track_a: Track, track_b: Track) -> tuple[np.ndarray, np.ndarray]:
-    """(t, overlap) over the common clock of two tracks: a's timestamps and
-    the closed footprint-overlap flag of each common frame."""
-    a, b = as_arrays(track_a), as_arrays(track_b)
-    ia, ib = _common_frames(a, b)
-    return a.t[ia], ContactRegion(a.take(ia), b.take(ib)).overlap
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,9 @@
+import dataclasses
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conflictmetrics.classify import (
     CollisionRemoval,
@@ -7,8 +12,9 @@ from conflictmetrics.classify import (
     extract_event,
     filter_collision_scenarios,
 )
-from conflictmetrics.metrics import AgentState, FrameMetrics
+from conflictmetrics.metrics import AgentState, FrameMetrics, MetricsConfig
 from conflictmetrics.trajio import Scenario
+import event_reference
 
 
 def frame(t=0.0, in_depth=None, tem=None, mei=None, act=None, q=True, overlap=False):
@@ -114,6 +120,38 @@ class TestExtractEvent:
         assert event.peak_level == RiskLevel.CRASH
         event = extract_event("s", ("A", "B"), [benign], None, cfg)
         assert event.peak_level == RiskLevel.POTENTIAL_CONFLICT
+
+
+# values on both sides of the two tem_star values drawn, signed zeros for
+# ties, undefined values and any other float
+TEM_STARS = (0.5, 3.0)
+edges = [x for star in TEM_STARS for x in (math.nextafter(star, 0.0), star, math.nextafter(star, math.inf))]
+values = st.none() | st.sampled_from([0.0, -0.0, 1.0, -1.0, *edges]) | st.floats(allow_nan=False)
+frame_metrics = st.builds(
+    FrameMetrics,
+    t=st.sampled_from([0.0, -0.0, 0.1, 0.2, 1.5]) | st.floats(allow_nan=False, allow_infinity=False),
+    in_depth=values, tem=values, mei=values, act=values,
+    q_active=st.booleans(), overlap=st.booleans(),
+    d_ct=values, d_a=values, d_b=values,
+)
+
+
+def bits(value):
+    """A float as its hex form, so -0.0 and 0.0 differ."""
+    return value.hex() if isinstance(value, float) else value
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(frame_metrics, min_size=1, max_size=8), st.sampled_from(TEM_STARS), st.none() | st.floats())
+def test_one_pair_calls_equal_the_frame_walk(frames, tem_star, pet):
+    cfg = MetricsConfig(tem_star=tem_star)
+    for fm in frames:
+        level = classify_frame(fm, cfg)
+        assert type(level) is RiskLevel and level == event_reference.classify_frame(fm, cfg)
+    got = extract_event("s", ("A", "B"), frames, pet, cfg)
+    expected = event_reference.extract_event("s", ("A", "B"), frames, pet, cfg)
+    assert [bits(v) for v in dataclasses.astuple(got)] == [bits(v) for v in dataclasses.astuple(expected)]
+    assert type(got.peak_level) is RiskLevel
 
 
 def pair_scenario(scenario_id, b_positions):

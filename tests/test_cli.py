@@ -121,6 +121,14 @@ class TestFrames:
         )
         assert rc == EXIT_NOT_FOUND
 
+    def test_pair_of_one_agent_not_found(self, tmp_path, corpus_file, capsys):
+        out = tmp_path / "o"
+        rc = main(["frames", "--input", str(corpus_file), "--scenario", "crossing",
+                   "--pair", "AV,AV", "--out", str(out)])
+        assert rc == EXIT_NOT_FOUND
+        assert "--pair must name two different agents" in capsys.readouterr().err
+        assert not (out / "frames.csv").exists()
+
 
 class TestEvents:
     def test_event_rows(self, tmp_path, corpus_file):
@@ -271,6 +279,8 @@ class TestDatasetFormat:
         ("--d-safe", "-0.5"),
         ("--pet-grid", "0"),
         ("--pet-grid", "-0.1"),
+        ("--mei-cap", "nan"),
+        ("--mei-cap", "0"),
     ],
 )
 def test_out_of_range_flag_is_a_usage_error(tmp_path, corpus_file, capsys, flag, value):
@@ -418,3 +428,24 @@ def test_diagnostics_name_only_the_scenario_and_line_they_know(tmp_path, capsys)
                       encoding="utf-8")
     main(["events", "--input", str(export), "--format", "dataset", "--out", str(tmp_path / "d")])
     assert capsys.readouterr().err.splitlines()[0] == "warning: c1 line 5: track AV: duplicate timestep 1; later row dropped"
+
+
+def test_every_traced_layer_resolves_after_importing_the_cli():
+    """The traced benchmark (bench/traced.py) imports conflictmetrics.cli and
+    then looks up each of its LAYERS in the package's modules with no
+    default; a layer function renamed away or a module the CLI no longer
+    imports would end its run. Checked in a fresh interpreter, so the
+    modules loaded are exactly those the CLI loads."""
+    src = str(Path(conflictmetrics.__file__).resolve().parents[1])
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    check = ("import sys\n"
+             "import conflictmetrics.cli, conflictmetrics.metrics\n"
+             "sys.path.insert(0, sys.argv[1])\n"
+             "import traced\n"
+             "for home, attr in traced.LAYERS:\n"
+             "    assert callable(getattr(sys.modules[f'conflictmetrics.{home}'], attr)), (home, attr)\n"
+             "print(len(traced.LAYERS))\n")
+    proc = subprocess.run([sys.executable, "-c", check, bench], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0

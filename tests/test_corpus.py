@@ -1,11 +1,12 @@
 """The corpus pass against the one-pair reference.
 
 corpus_events joins the common frames of many pairs into one kernel pass
-and reduces the events on arrays; extract_event(compute_pair_frames(...))
-walks FrameMetrics one pair at a time. The two must give the same
-ConflictEvents bit for bit, and classify_frames the same level as
-classify_frame on every frame. filter_collision_scenarios must agree with
-the one-pair overlap view, overlap_frames.
+and reduces the events on arrays; the reference walks the FrameMetrics of
+compute_pair_frames one pair at a time (event_reference.extract_event). The
+two must give the same ConflictEvents bit for bit, and classify_frames the
+same level as event_reference.classify_frame on every frame.
+filter_collision_scenarios must agree with the overlap flags of
+compute_pair_frames.
 """
 
 import dataclasses
@@ -20,24 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conflictmetrics import metrics
-from conflictmetrics.classify import (
-    CollisionRemoval,
-    classify_frame,
-    classify_frames,
-    corpus_events,
-    extract_event,
-    filter_collision_scenarios,
-)
-from conflictmetrics.metrics import (
-    AgentState,
-    MetricsConfig,
-    compute_pair_frames,
-    frame_columns,
-    joined_pairs,
-    overlap_frames,
-    pet,
-)
+from conflictmetrics.classify import CollisionRemoval, classify_frames, corpus_events, filter_collision_scenarios
+from conflictmetrics.metrics import AgentState, MetricsConfig, compute_pair_frames, frame_columns, joined_pairs, pet
 from conflictmetrics.trajio import Scenario, parse_canonical
+from event_reference import classify_frame, extract_event
 
 GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
 
@@ -125,9 +112,9 @@ def test_corpus_events_equal_the_one_pair_reference(corpus, cfg, batch_frames):
 def test_collision_filter_equals_the_one_pair_overlap_view(corpus, batch_frames):
     expected = []
     for (scenario_id, pair), a, b in keyed_pairs(corpus):
-        t, overlap = overlap_frames(a, b)
-        if overlap.any():
-            expected.append(CollisionRemoval(scenario_id, pair, float(t[overlap].min())))
+        hits = [fm.t for fm in compute_pair_frames(a, b) if fm.overlap]
+        if hits:
+            expected.append(CollisionRemoval(scenario_id, pair, min(hits)))
     with mock.patch.object(metrics, "KERNEL_BATCH_FRAMES", batch_frames):
         kept, removals = filter_collision_scenarios(corpus)
     assert removals == sorted(expected)
@@ -192,9 +179,9 @@ def test_benchmark_collision_filter_equals_the_one_pair_overlap_view(bench_corpu
     corpus = bench_corpus("dataset_filter")
     expected = []
     for (scenario_id, pair), a, b in keyed_pairs(corpus):
-        t, overlap = overlap_frames(a, b)
-        if overlap.any():
-            expected.append(CollisionRemoval(scenario_id, pair, float(t[overlap].min())))
+        hits = [fm.t for fm in compute_pair_frames(a, b) if fm.overlap]
+        if hits:
+            expected.append(CollisionRemoval(scenario_id, pair, min(hits)))
     kept, removals = filter_collision_scenarios(corpus)
     assert removals == expected and len(removals) > 10
     assert [s.scenario_id for s in kept] == sorted({s.scenario_id for s in corpus} - {r.scenario_id for r in removals})

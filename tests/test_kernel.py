@@ -37,7 +37,6 @@ from conflictmetrics.metrics import (
     compute_frame,
     compute_pair_frames,
     in_depth,
-    overlap_frames,
     pet,
     relative_kinematics,
     tem_ttc2d,
@@ -286,10 +285,11 @@ def test_scalar_functions_are_the_one_frame_kernel():
 def test_overlap_view_matches_sat():
     rng = np.random.default_rng(43)
     batch = [(random_agent(rng, "a", pos_range=4.0), random_agent(rng, "b", pos_range=4.0)) for _ in range(2000)]
-    t, overlap = overlap_frames(*_as_tracks(batch))
-    assert t.tolist() == [round(0.1 * i, 1) for i in range(len(batch))]
-    assert overlap.tolist() == [sat_overlap(a.box, b.box) for a, b in batch]
-    assert 100 < overlap.sum() < 1900
+    frames = compute_pair_frames(*_as_tracks(batch))
+    assert [fm.t for fm in frames] == [round(0.1 * i, 1) for i in range(len(batch))]
+    overlap = [fm.overlap for fm in frames]
+    assert overlap == [sat_overlap(a.box, b.box) for a, b in batch]
+    assert 100 < sum(overlap) < 1900
 
 
 def _swept_bounds(track):

@@ -19,6 +19,35 @@ from conflictmetrics.metrics import (
 from helpers import close, random_agent, transformed_agent
 
 
+class TestMetricsConfig:
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("d_safe", -0.5, "d_safe must be >= 0"),
+            ("d_safe", math.nan, "d_safe must be finite, got nan"),
+            ("d_safe", math.inf, "d_safe must be finite, got inf"),
+            ("tem_star", 0.0, "tem_star must be > 0"),
+            ("tem_star", math.nan, "tem_star must be > 0"),
+            ("tem_star", -math.inf, "tem_star must be > 0"),
+            ("pet_grid", 0.0, "pet_grid must be > 0"),
+            ("pet_grid", math.nan, "pet_grid must be finite, got nan"),
+            ("pet_grid", math.inf, "pet_grid must be finite, got inf"),
+            ("mei_cap", 0.0, "mei_cap must be > 0"),
+            ("mei_cap", -1.0, "mei_cap must be > 0"),
+            ("mei_cap", math.nan, "mei_cap must be finite, got nan"),
+            ("mei_cap", math.inf, "mei_cap must be finite, got inf"),
+        ],
+    )
+    def test_rejects_values_outside_the_domain(self, field, value, message):
+        with pytest.raises(ValueError) as exc:
+            MetricsConfig(**{field: value})
+        assert str(exc.value) == message
+
+    def test_accepts_the_edges_of_the_domain(self):
+        cfg = MetricsConfig(d_safe=0.0, tem_star=math.inf, mei_cap=1e-9, pet_grid=1e-9)
+        assert (cfg.d_safe, cfg.tem_star, cfg.mei_cap, cfg.pet_grid) == (0.0, math.inf, 1e-9, 1e-9)
+
+
 class TestAgentState:
     def test_rejects_negative_speed(self):
         with pytest.raises(ValueError):
