@@ -39,7 +39,7 @@ from .trajio import (
     adapt_external,
     format_time,
     parse_canonical,
-    serialize_canonical,
+    write_canonical,
 )
 
 EXIT_OK = 0
@@ -458,7 +458,8 @@ def cmd_filter_collisions(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "cleaned.csv").write_text(serialize_canonical(kept), encoding="utf-8")
+    with open(out_dir / "cleaned.csv", "w", encoding="utf-8") as fh:
+        write_canonical(kept, fh)
     _write_csv(
         out_dir / "removals.csv",
         ["scenario_id", "agent_a", "agent_b", "first_overlap_t"],

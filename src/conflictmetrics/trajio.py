@@ -110,8 +110,10 @@ def _parse_float(raw: str, name: str) -> float:
 # Characters of text split into cells at a time. This keeps a block's bytes
 # and each mask over them at 64 kB, as PET_BATCH_CELLS keeps a PET batch's
 # temporaries, and its split cells (some 60 bytes a cell of 15 characters)
-# at about 256 kB; the 8-byte numbers they become are all that outlive the
-# block, however long the file.
+# at about 256 kB. The cells do not outlive the block; the 8-byte numbers
+# they become do. adapt_external also keeps each block's text until it knows
+# which tracks the row path rebuilds, and from then on only the text of the
+# blocks that hold their rows.
 _BLOCK_CHARS = 1 << 16
 
 
@@ -485,19 +487,40 @@ def _reprs(values: np.ndarray) -> Iterable[str]:
     return map(repr, values.tolist())
 
 
+def _id_cell(value: str, leading_hash: bool = False) -> str:
+    """An id as a CSV cell: quoted, with its quotes doubled, when it holds a
+    comma or a quote, or when leading_hash and it would start a '#' comment
+    line; as it is otherwise."""
+    if "," in value or '"' in value or (leading_hash and value.lstrip().startswith("#")):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+def _canonical_chunks(scenarios: Sequence[Scenario]) -> Iterator[str]:
+    """Canonical text of scenarios: the header line, then the lines of one
+    track at a time."""
+    yield ",".join(CANONICAL_COLUMNS) + "\n"
+    times: dict[int, str] = {}
+    for scenario in sorted(scenarios, key=lambda s: s.scenario_id):
+        scenario_cell = _id_cell(scenario.scenario_id, leading_hash=True)
+        for agent_id in sorted(scenario.agents):
+            tr = as_arrays(scenario.agents[agent_id])
+            head = f"{scenario_cell},{_id_cell(tr.agent_id)},"
+            stamps = [times.get(k) or times.setdefault(k, format_time(k)) for k in tr.t_dms.tolist()]
+            values = (_reprs(getattr(tr, name)) for name in ("x", "y", "v", "heading", "length", "width"))
+            yield "".join(f"{head}{','.join(cells)}\n" for cells in zip(tr.agent_type.tolist(), stamps, *values))
+
+
 def serialize_canonical(scenarios: Sequence[Scenario]) -> str:
     """Render scenarios back to canonical text (stable row order; floats use
     shortest round-trip repr so parse(serialize(s)) is exact)."""
-    out = [",".join(CANONICAL_COLUMNS)]
-    times: dict[int, str] = {}
-    for scenario in sorted(scenarios, key=lambda s: s.scenario_id):
-        for agent_id in sorted(scenario.agents):
-            tr = as_arrays(scenario.agents[agent_id])
-            head = f"{scenario.scenario_id},{tr.agent_id},"
-            stamps = [times.get(k) or times.setdefault(k, format_time(k)) for k in tr.t_dms.tolist()]
-            values = (_reprs(getattr(tr, name)) for name in ("x", "y", "v", "heading", "length", "width"))
-            out.extend(head + ",".join(cells) for cells in zip(tr.agent_type.tolist(), stamps, *values))
-    return "\n".join(out) + "\n"
+    return "".join(_canonical_chunks(scenarios))
+
+
+def write_canonical(scenarios: Sequence[Scenario], stream: TextIO) -> None:
+    """Write serialize_canonical(scenarios) to stream a track at a time, so
+    the text of no more than one track is held."""
+    stream.writelines(_canonical_chunks(scenarios))
 
 
 def _interp_heading(h0: float, h1: float, frac: float) -> float:
@@ -666,7 +689,7 @@ def adapt_external(paths: Sequence[str]) -> ParseResult:
     track_ids: dict[str, int] = {}
     categories: dict[str, int] = {}
     dimensions: dict[str, float] = {}
-    blocks: list[tuple[_Layout, _Block]] = []
+    blocks: list[tuple[_Layout, int, str | None]] = []  # the layout, first line and text of each
     parts = []
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
@@ -680,13 +703,23 @@ def adapt_external(paths: Sequence[str]) -> ParseResult:
             for block in file_blocks:
                 parts.append(_dataset_columns(len(blocks), file_layout, block, case_ids, track_ids, categories,
                                               dimensions, issues))
-                # the text stays for the tracks the row path rebuilds; the cells go
-                blocks.append((file_layout, block._replace(cells=[])))
+                blocks.append((file_layout, block.first, block.text))  # the cells go
     if not any(len(part[0]) for part in parts):
         return ParseResult(scenarios=[], issues=issues)
-    columns = [np.concatenate(column) for column in zip(*parts)]
-    scenarios = _dataset_scenarios(columns, blocks, case_ids, track_ids, categories, issues)
+    scenarios = _dataset_scenarios(_concatenated(parts), blocks, case_ids, track_ids, categories, issues)
     return ParseResult(scenarios=scenarios, issues=issues)
+
+
+def _concatenated(parts: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
+    """The columns of parts laid end to end, emptying parts. Each column's
+    pieces are dropped once it is built, so one copy of the data is held
+    at a time, plus one column."""
+    columns = [list(pieces) for pieces in zip(*parts)]
+    parts.clear()
+    for k, pieces in enumerate(columns):
+        columns[k] = np.concatenate(pieces)
+        pieces.clear()
+    return columns
 
 
 def _dataset_columns(
@@ -761,7 +794,7 @@ def _timestep_or_bound(cell: str) -> int:
 
 def _dataset_scenarios(
     columns: list[np.ndarray],
-    blocks: list[tuple[_Layout, _Block]],
+    blocks: list[tuple[_Layout, int, str | None]],
     case_ids: dict[str, int],
     track_ids: dict[str, int],
     categories: dict[str, int],
@@ -769,23 +802,24 @@ def _dataset_scenarios(
 ) -> list[Scenario]:
     """The scenarios of the records' columns, in case_id order, each with its
     tracks in track_id order. A track's records are sorted by timestep
-    (stably, so files and lines keep their order)."""
+    (stably, so files and lines keep their order). Empties columns, and
+    drops the text of each block that holds no row of a track the row path
+    rebuilds."""
+    case_names, columns[2] = _ranked(case_ids, columns[2])
+    track_names, columns[3] = _ranked(track_ids, columns[3])
+    order = np.lexsort((columns[5], columns[3], columns[2]))
+    for k, column in enumerate(columns):  # in place, so each unsorted column goes as its sorted one comes
+        columns[k] = column[order]
+    del column, order
     block, line, case, track, category, step, x, y, vx, vy, psi, length, width, no_dims = columns
-    case_names, case = _ranked(case_ids, case)
-    track_names, track = _ranked(track_ids, track)
-    order = np.lexsort((step, track, case))
-    block, line, case, track, category, step, x, y, vx, vy, psi, length, width, no_dims = (
-        a[order] for a in (block, line, case, track, category, step, x, y, vx, vy, psi, length, width, no_dims)
-    )
+    columns.clear()
     n = len(step)
     # 2 * has_vel + has_psi of each row's file: 3 psi_rad given, 2 heading
     # from vx/vy, 0 or 1 kinematics from positions
-    layout = np.array([2 * lay.has_vel + lay.has_psi for lay, _ in blocks], dtype=np.int64)[block]
+    layout = np.array([2 * lay.has_vel + lay.has_psi for lay, _, _ in blocks], dtype=np.int8)[block]
     new = np.r_[True, (case[1:] != case[:-1]) | (track[1:] != track[:-1])]
     starts = np.flatnonzero(new)
     bounds = np.append(starts, n)
-    of_track = np.cumsum(new) - 1
-    first, last = starts[of_track], bounds[1:][of_track] - 1
 
     # tracks for the row path: a malformed or out-of-range timestep, a
     # repeated one, files of different layouts, a single frame with no
@@ -796,7 +830,8 @@ def _dataset_scenarios(
     flagged = np.logical_or.reduceat(flag, starts) | ((layout[starts] < 2) & (np.diff(bounds) < 2))
 
     t = step * 0.1
-    speed, heading, held = _dataset_kinematics(layout, ~flagged[of_track], first, last, t, x, y, vx, vy, psi)
+    speed, heading, held = _dataset_kinematics(layout, ~flagged, bounds, t, x, y, vx, vy, psi)
+    del vx, vy, psi
     with np.errstate(invalid="ignore", over="ignore"):
         flagged |= np.logical_or.reduceat(~np.isfinite(x + y + speed + heading), starts)
 
@@ -807,12 +842,19 @@ def _dataset_scenarios(
             flagged.tolist(), *(column[starts].tolist() for column in (category, no_dims, length, width))
         )
     ]
+    rows = np.repeat([shape is not None for shape in shapes], np.diff(bounds))
+    # the row path reads its tracks' lines from the text of their blocks;
+    # every other block's text goes
+    read = set(block[~rows].tolist())
+    for b, (block_layout, block_first, _) in enumerate(blocks):
+        if b not in read:
+            blocks[b] = (block_layout, block_first, None)
     track_of = track[starts].tolist()
     built = [k for k, shape in enumerate(shapes) if shape]
     if built:
-        rows = np.repeat([shape is not None for shape in shapes], np.diff(bounds))
         sizes = np.diff(bounds)[built]
         agent_type, length, width = zip(*(shapes[k] for k in built))
+        rows = slice(None) if len(built) == len(shapes) else rows  # then the tracks are views of the columns
         whole = TrackArrays.from_columns(
             "", np.rint(t[rows] * 1e4) / 1e4, x[rows], y[rows], speed[rows], heading[rows],
             np.repeat(length, sizes), np.repeat(width, sizes), np.repeat(np.array(agent_type, dtype=object), sizes),
@@ -874,11 +916,37 @@ def _dataset_scenarios(
     return scenarios
 
 
-def _dataset_kinematics(layout, kept, first, last, t, x, y, vx, vy, psi) -> tuple[np.ndarray, ...]:
+# Rows of whole tracks that _dataset_kinematics derives at a time. The per-row
+# math runs on Python floats, 32 bytes a value in a list, so a slice's lists
+# stay near 256 kB a column however long the input.
+_ROWS_PER_SLICE = 1 << 13
+
+
+def _dataset_kinematics(layout, kept, bounds, t, x, y, vx, vy, psi) -> tuple[np.ndarray, ...]:
     """Speed, heading and whether the heading is held from an earlier frame,
-    for the kept rows of each layout as _adapt_track derives them; NaN, NaN
-    and False in the other rows. Frame i's track runs from first[i] to
-    last[i]."""
+    for the rows of the kept tracks as _adapt_track derives them; NaN, NaN
+    and False in the other rows. Track k holds rows bounds[k] to
+    bounds[k + 1] - 1 and is kept when kept[k]; a slice of whole tracks is
+    derived at a time."""
+    n = len(t)
+    out = np.full(n, math.nan), np.full(n, math.nan), np.zeros(n, dtype=bool)
+    # a slice starts at the track that holds a multiple of _ROWS_PER_SLICE
+    at = np.searchsorted(bounds, np.arange(0, n, _ROWS_PER_SLICE), side="right") - 1
+    cuts = [*dict.fromkeys(at.tolist()), len(bounds) - 1]
+    for k0, k1 in zip(cuts, cuts[1:]):
+        ends = bounds[k0:k1 + 1] - bounds[k0]
+        sizes = np.diff(ends)
+        lo, hi = bounds[k0], bounds[k1]
+        derived = _slice_kinematics(layout[lo:hi], np.repeat(kept[k0:k1], sizes), np.repeat(ends[:-1], sizes),
+                                    np.repeat(ends[1:] - 1, sizes), *(c[lo:hi] for c in (t, x, y, vx, vy, psi)))
+        for column, values in zip(out, derived):
+            column[lo:hi] = values
+    return out
+
+
+def _slice_kinematics(layout, kept, first, last, t, x, y, vx, vy, psi) -> tuple[np.ndarray, ...]:
+    """_dataset_kinematics of the kept rows of tracks laid end to end: frame
+    i's track runs from frame first[i] to frame last[i]."""
     n = len(t)
     speed, heading, held = np.full(n, math.nan), np.full(n, math.nan), np.zeros(n, dtype=bool)
     rows = np.flatnonzero(kept & (layout >= 2))
@@ -908,15 +976,15 @@ def _shape(agent_type: str, no_dims: bool, length: float, width: float) -> tuple
     return (agent_type, length, width) if 0 < length < math.inf and 0 < width < math.inf else None
 
 
-def _records(blocks: list[tuple[_Layout, _Block]], rows: Iterable[tuple[int, int]], lines_of: dict) -> list[tuple]:
+def _records(blocks: list[tuple[_Layout, int, str]], rows: Iterable[tuple[int, int]], lines_of: dict) -> list[tuple]:
     """The records of (block, line) rows in file order, read from the blocks'
     text as the row path reads them; lines_of caches each block's lines."""
     recs = []
     for b, line in sorted(rows):
-        layout, block = blocks[b]
+        layout, first, text = blocks[b]
         if b not in lines_of:
-            lines_of[b] = block.text.split("\n")
-        lines, i = lines_of[b], line - block.first
+            lines_of[b] = text.split("\n")
+        lines, i = lines_of[b], line - first
         recs.append(layout.record(line, _cells(lines[i] + "\n" if i < len(lines) - 1 else lines[i])))
     return recs
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -267,6 +268,25 @@ class TestDatasetFormat:
         lines = (out / "events.csv").read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("c1,9,AV,")
+
+    def test_quoted_ids_survive_filter_collisions_then_events(self, tmp_path, capsys):
+        """A case id or track id holding a comma or a quote, and a case id
+        that starts with '#', reach events unchanged through cleaned.csv."""
+        header = "case_id,track_id,object_category,timestep,x,y,vx,vy,psi_rad,length,width"
+        rows = []
+        for case in ('"c,1"', '"#c"'):
+            for i in range(110):
+                rows.append(f"{case},AV,vehicle,{i},{-10.0 + 0.5 * i},0.0,5.0,0.0,0.0,4.0,2.0")
+                rows.append(f'{case},"B""x",pedestrian,{i},0.0,{-30.0 + 0.5 * i},0.0,5.0,1.5707963267948966,,')
+        src = tmp_path / "export.csv"
+        src.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["filter-collisions", "--format", "dataset", "--input", str(src), "--out", str(out)]) == EXIT_OK
+        assert main(["events", "--input", str(out / "cleaned.csv"), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        with open(out / "events.csv", encoding="utf-8", newline="") as fh:
+            events = list(csv.reader(fh))
+        assert [row[:3] for row in events[1:]] == [["#c", "AV", 'B"x'], ["c,1", "AV", 'B"x']]
 
 
 @pytest.mark.parametrize(

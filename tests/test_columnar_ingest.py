@@ -12,7 +12,10 @@ and every TrackArrays column bit for bit) and equal serialized text.
 import io
 import math
 import random
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -23,6 +26,7 @@ import row_reference
 from conflictmetrics import trajio
 from conflictmetrics.trajio import serialize_canonical
 
+GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
 _COLUMNS = ("t_dms", "t", "x", "y", "v", "heading", "length", "width", "cos_h", "sin_h")
 
 
@@ -239,3 +243,43 @@ def test_every_track_kind_takes_the_columnar_path_on_clean_exports(tmp_path):
         result = trajio.adapt_external([str(p) for p in paths])
     assert_same_result(result, row_reference.adapt_external([str(p) for p in paths]))
     assert [i.message for i in result.issues] == ["track P: near-zero-speed frames inherit the previous heading"]
+
+
+def test_a_row_path_track_across_blocks_reads_the_text_of_both(tmp_path):
+    """Only blocks that hold a row of a track the row path rebuilds keep their
+    text. Track D repeats a timestep, and its rows lie in an early block and
+    a late one, with blocks of clean tracks before, between and after them."""
+    header = "case_id,track_id,object_category,timestep,x,y,vx,vy,length,width"
+
+    def rows(track, steps):
+        return [f"c1,{track},car,{i},{0.5 * i},0.0,5.0,0.0,4.5,1.8" for i in steps]
+
+    lines = [header, *rows("AV", range(30)), *rows("D", range(5)), *rows("C", range(60)), *rows("D", [4, 5, 6]),
+             *rows("E", range(30))]
+    path = tmp_path / "export.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with mock.patch.object(trajio, "_BLOCK_CHARS", 256):
+        result = trajio.adapt_external([str(path)])
+    assert_same_result(result, row_reference.adapt_external([str(path)]))
+    assert [i.message for i in result.issues] == ["track D: duplicate timestep 4; later row dropped"]
+    assert len(result.scenarios[0].agents["D"]) == 7
+
+
+def test_adapt_external_peak_memory_stays_within_3_5_times_its_input(tmp_path):
+    """Each value is held once and only while it is needed: the traced peak
+    of adapt_external on the seed-1 dataset_filter exports of the benchmark
+    (written by its generator in its own interpreter) stays within 3.5 times
+    their size in bytes. Keeping every block's text and three copies of each
+    column took 5.4 times."""
+    subprocess.run([sys.executable, str(GEN), "--workload", "dataset_filter", "--seed", "1", "--out", str(tmp_path)],
+                   check=True, capture_output=True)
+    paths = [str(tmp_path / name) for name in ("export_psi.csv", "export_vel.csv", "export_pos.csv")]
+    size = sum(Path(p).stat().st_size for p in paths)
+    trajio.adapt_external(paths)  # so what it imports on first use is not counted
+    tracemalloc.start()
+    try:
+        trajio.adapt_external(paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * size, f"peak {peak / size:.2f} times the {size} input bytes"

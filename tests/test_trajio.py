@@ -1,3 +1,4 @@
+import io
 import math
 
 import pytest
@@ -15,6 +16,7 @@ from conflictmetrics.trajio import (
     resample,
     serialize_canonical,
     Scenario,
+    write_canonical,
 )
 
 HEADER = "scenario_id,agent_id,agent_type,t,x,y,speed,heading,length,width"
@@ -107,18 +109,23 @@ class TestParseCanonical:
         assert any("gap" in issue.message for issue in result.issues)
 
 
+# ids as the readers keep them (not empty, no surrounding whitespace, no line
+# end), with the commas, quotes and leading '#' that the writer must quote
+_IDS = st.text(alphabet='ab1 ,"#', min_size=1, max_size=5).filter(lambda s: s == s.strip())
+
+
 @st.composite
 def scenarios(draw):
     n_agents = draw(st.integers(min_value=1, max_value=3))
     n_frames = draw(st.integers(min_value=1, max_value=6))
     coord = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
     agents = {}
-    for k in range(n_agents):
+    for agent_id in draw(st.lists(_IDS, min_size=n_agents, max_size=n_agents, unique=True)):
         states = []
         for i in range(n_frames):
             states.append(
                 AgentState(
-                    agent_id=f"a{k}",
+                    agent_id=agent_id,
                     t=round(i * 0.1, 1),
                     x=draw(coord),
                     y=draw(coord),
@@ -129,8 +136,8 @@ def scenarios(draw):
                     agent_type=draw(st.sampled_from(["vehicle", "pedestrian", "cyclist", "other"])),
                 )
             )
-        agents[f"a{k}"] = states
-    return Scenario(scenario_id=draw(st.sampled_from(["s1", "s2"])), agents=agents, dt=0.1)
+        agents[agent_id] = states
+    return Scenario(scenario_id=draw(_IDS), agents=agents, dt=0.1)
 
 
 class TestRoundTrip:
@@ -138,6 +145,9 @@ class TestRoundTrip:
     @given(scenarios())
     def test_parse_serialize_is_exact(self, scenario):
         text = serialize_canonical([scenario])
+        stream = io.StringIO()
+        write_canonical([scenario], stream)
+        assert stream.getvalue() == text
         result = parse_canonical(text)
         assert result.scenarios[0].scenario_id == scenario.scenario_id
         assert result.scenarios[0].agents == scenario.agents
