@@ -49,9 +49,6 @@ CANONICAL_COLUMNS = (
     "width",
 )
 
-# The canonical agent types, so every frame of a type shares one str object.
-_AGENT_TYPE = {name: name for name in AGENT_TYPES}
-
 # Speeds below this make a velocity-derived heading meaningless; such frames
 # inherit the last well-defined heading and are flagged in diagnostics.
 NEAR_ZERO_SPEED = 1e-3
@@ -94,13 +91,6 @@ class Scenario:
 class ParseResult:
     scenarios: list[Scenario]
     issues: list[ParseIssue] = field(default_factory=list)
-
-
-def _parse_float(raw: str, name: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite {name}: {raw!r}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +157,15 @@ class _Block(NamedTuple):
     lines: np.ndarray  # line numbers of the plain rows
     cells: list[str]  # cells of the plain rows, row after row
     others: list[tuple[int, list[str]]]  # (line number, cells) of the other rows
+
+    def laid_out(self, width: int, others: list[tuple[int, list[str]]]) -> tuple[list[str], np.ndarray]:
+        """The cells and line numbers of the plain rows, then of the rows of
+        others laid out as plain rows of width cells: extra cells are cut,
+        and missing ones read ""."""
+        if not others:
+            return self.cells, self.lines
+        lines, rows = zip(*others)
+        return self.cells + [cell for row in rows for cell in (row + [""] * width)[:width]], np.r_[self.lines, lines]
 
 
 def _read_csv(stream: str | TextIO) -> tuple[list[str] | None, Iterator[_Block]]:
@@ -239,13 +238,15 @@ def _float_or_nan(cell) -> float:
 
 def _dimensions(cells: list[str], known: dict[str, float]) -> tuple[np.ndarray, np.ndarray]:
     """float() of each cell (NaN where it raises) and whether the cell is
-    empty. A track repeats its footprint on every row, so each distinct cell
-    is converted once, into known."""
+    empty once stripped. A track repeats its footprint on every row, so each
+    distinct cell is converted once, into known."""
     for cell in dict.fromkeys(cells):
         if cell not in known:
             known[cell] = _float_or_nan(cell)
-    empty = ~np.fromiter(map(bool, cells), dtype=bool, count=len(cells))
-    return np.fromiter(map(known.__getitem__, cells), dtype=np.float64, count=len(cells)), empty
+    values = np.fromiter(map(known.__getitem__, cells), dtype=np.float64, count=len(cells))
+    empty = np.isnan(values)  # float() raises for every empty cell
+    empty[empty] = [not cells[i].strip() for i in np.flatnonzero(empty).tolist()]
+    return values, empty
 
 
 def _codes(cells: list[str], index: dict[str, int]) -> np.ndarray:
@@ -287,9 +288,9 @@ def parse_canonical(stream: str | TextIO) -> ParseResult:
     Invalid rows are collected as diagnostics and excluded, never silently
     dropped; a malformed header raises SchemaError naming the column.
 
-    Columns are converted and validated a block at a time. A row that any
-    check flags, and a line that is not a plain row, goes through
-    _parse_row, so every row diagnostic comes from there.
+    Columns are converted a block at a time and checked against one list of
+    row rules, in the order a row's cells are read (_canonical_columns). A
+    row that fails any rule is reported with the message of the first one.
     """
     header, blocks = _read_csv(stream)
     if header is None:
@@ -299,29 +300,13 @@ def parse_canonical(stream: str | TextIO) -> ParseResult:
         if required not in colindex:
             raise SchemaError(f"missing required column: {required}")
     cols = tuple(colindex[name] for name in CANONICAL_COLUMNS)
-    ncells = len(header)
 
     issues: list[ParseIssue] = []
     scenario_ids: dict[str, int] = {}
     agent_ids: dict[str, int] = {}
     dimensions: dict[str, float] = {}
-    parts: list[tuple[np.ndarray, ...]] = []
-    for block in blocks:
-        part, flagged = _canonical_columns(block, ncells, cols, scenario_ids, agent_ids, dimensions)
-        parts.append(part)
-        cells, lines = block.cells, block.lines.tolist()
-        rows = [(lines[i], cells[i * ncells:(i + 1) * ncells]) for i in flagged]
-        parsed = []
-        for lineno, row in sorted(rows + block.others, key=itemgetter(0)):
-            try:
-                parsed.append((lineno, *_parse_row(row, cols)))
-            except (ValueError, IndexError) as exc:
-                issues.append(ParseIssue(line=lineno, scenario_id=None, message=str(exc)))
-        if parsed:
-            lineno, sid, aid, agent_type, *floats = zip(*parsed)
-            kind = np.fromiter(map(_TYPE_CODE.__getitem__, agent_type), dtype=np.int64, count=len(parsed))
-            parts.append((np.array(lineno, dtype=np.int64), _codes(list(sid), scenario_ids),
-                          _codes(list(aid), agent_ids), kind, *np.array(floats, dtype=np.float64)))
+    parts = [_canonical_columns(block, len(header), cols, scenario_ids, agent_ids, dimensions, issues)
+             for block in blocks]
     if not any(len(part[0]) for part in parts):
         return ParseResult(scenarios=[], issues=issues)
     columns = [np.concatenate(column) for column in zip(*parts)]
@@ -335,93 +320,84 @@ def _canonical_columns(
     scenario_ids: dict[str, int],
     agent_ids: dict[str, int],
     dimensions: dict[str, float],
-) -> tuple[tuple[np.ndarray, ...], list[int]]:
+    issues: list[ParseIssue],
+) -> tuple[np.ndarray, ...]:
     """The columns (line, scenario code, agent code, agent type code, t, x,
-    y, speed, heading, length, width) of a block's plain rows that pass
-    every check of _parse_row, and the positions of those that do not."""
-    c_sid, c_aid, c_type, c_t, c_x, c_y, c_speed, c_heading, c_length, c_width = (
-        block.cells[c::ncells] for c in cols
-    )
-    n = len(c_t)
-    sid, aid = list(map(str.strip, c_sid)), list(map(str.strip, c_aid))
-    kind = np.fromiter(map(_TYPE_CODE.get, map(str.strip, c_type), repeat(-1)), dtype=np.int64, count=n)
-    t, x, y, speed, heading = map(_floats, (c_t, c_x, c_y, c_speed, c_heading))
+    y, speed, heading, length, width) of a block's rows that pass every row
+    rule; each other row goes to issues, in line order, with the message of
+    the first rule it fails. cols are the row positions of
+    CANONICAL_COLUMNS."""
+    cells, lines = block.laid_out(ncells, block.others)
+    sizes = np.full(len(lines), ncells)
+    sizes[len(block.lines):] = [len(row) for _, row in block.others]
+    c_sid, c_aid, c_type, c_t, c_x, c_y, c_speed, c_heading, c_length, c_width = cols
+    s_sid, s_aid, s_type, s_t, s_x, s_y, s_speed, s_heading, s_length, s_width = (cells[c::ncells] for c in cols)
+    n = len(s_t)
+    sid, aid = list(map(str.strip, s_sid)), list(map(str.strip, s_aid))
+    kind = np.fromiter(map(_TYPE_CODE.get, map(str.strip, s_type), repeat(-1)), dtype=np.int64, count=n)
+    t, x, y, speed, heading = map(_floats, (s_t, s_x, s_y, s_speed, s_heading))
     pedestrian = kind == _TYPE_CODE["pedestrian"]
-    (length, no_length), (width, no_width) = _dimensions(c_length, dimensions), _dimensions(c_width, dimensions)
+    (length, no_length), (width, no_width) = _dimensions(s_length, dimensions), _dimensions(s_width, dimensions)
     length = np.where(no_length & pedestrian, PEDESTRIAN_DEFAULT_LENGTH, length)
     width = np.where(no_width & pedestrian, PEDESTRIAN_DEFAULT_WIDTH, width)
+
+    def number(name: str, column: list[str], values: np.ndarray) -> tuple:
+        def message(i: int) -> str:  # float()'s own message on the stripped cell, or its value
+            try:
+                float(column[i].strip())
+            except ValueError as exc:
+                return str(exc)
+            return f"non-finite {name}: {column[i].strip()!r}"
+        return ~np.isfinite(values), message
+
     with np.errstate(invalid="ignore", over="ignore"):
-        ms = t * 1000
-        bad = (
-            ~np.fromiter(map(bool, sid), dtype=bool, count=n)
-            | ~np.fromiter(map(bool, aid), dtype=bool, count=n)
-            | (kind < 0)
-            # a sum is finite when its terms are; one that overflows only
-            # sends a valid row through _parse_row
-            | ~np.isfinite(t + x + y + speed + heading + length + width)
-            | (t < 0)
-            | (t >= MAX_T_S)
-            | (np.abs(ms - np.rint(ms)) > 1e-6)
-            | (speed < 0)
-            | (length <= 0)
-            | (width <= 0)
-        )
-        # round(t * 1e4) / 1e4 as _parse_row takes it; round() gives +0.0 for -0.0
-        t = np.rint(t * 1e4) / 1e4 + 0.0
-    lines = block.lines
+        # A row's rules in the order its cells are read: the cells a rule
+        # reads first (a row short of one fails there, as indexing it does),
+        # the rows that fail it given they pass those before, and its message.
+        rules = [
+            ((c_sid, c_aid), ~np.fromiter(map(bool, sid), dtype=bool, count=n)
+             | ~np.fromiter(map(bool, aid), dtype=bool, count=n),
+             lambda i: "scenario_id and agent_id must be non-empty"),
+            ((c_type,), kind < 0, lambda i: f"unknown agent_type: {s_type[i].strip()!r}"),
+            ((c_t,), *number("t", s_t, t)),
+            ((), t < 0, lambda i: f"t must be >= 0, got {t.item(i)}"),
+            ((), t >= MAX_T_S, lambda i: f"t must be < {MAX_T_S:g}, got {t.item(i)}"),
+            ((), np.abs(t * 1000 - np.rint(t * 1000)) > 1e-6,
+             lambda i: f"t has more than 3 decimal places: {t.item(i)}"),
+            ((c_x,), *number("x", s_x, x)),
+            ((c_y,), *number("y", s_y, y)),
+            ((c_speed,), *number("speed", s_speed, speed)),
+            ((), speed < 0, lambda i: f"speed must be >= 0, got {speed.item(i)}"),
+            ((c_heading,), *number("heading", s_heading, heading)),
+            ((c_length, c_width), (no_length | no_width) & ~pedestrian,
+             lambda i: "length/width may be empty only for pedestrians"),
+            ((), *number("length", s_length, length)),
+            ((), *number("width", s_width, width)),
+            ((), (length <= 0) | (width <= 0), lambda i: "length and width must be > 0"),
+        ]
+        # round(t * 1e4) / 1e4, the time a row keeps; round() gives +0.0 for -0.0
+        t_rounded = np.rint(t * 1e4) / 1e4 + 0.0
+    bad = np.logical_or.reduce([mask for _, mask, _ in rules]) | (sizes <= max(cols))
     flagged = np.flatnonzero(bad).tolist()
+    for i in sorted(flagged, key=lines.__getitem__):
+        issues.append(ParseIssue(line=lines.item(i), scenario_id=None, message=_first_fault(rules, i, sizes[i])))
     if flagged:
         keep = ~bad
         sid, aid = list(compress(sid, keep)), list(compress(aid, keep))
-        lines, kind, t, x, y, speed, heading, length, width = (
-            a[keep] for a in (lines, kind, t, x, y, speed, heading, length, width)
+        lines, kind, t_rounded, x, y, speed, heading, length, width = (
+            a[keep] for a in (lines, kind, t_rounded, x, y, speed, heading, length, width)
         )
-    part = (lines, _codes(sid, scenario_ids), _codes(aid, agent_ids), kind,
-            t, x, y, speed, _wrapped(heading), length, width)
-    return part, flagged
+    return (lines, _codes(sid, scenario_ids), _codes(aid, agent_ids), kind,
+            t_rounded, x, y, speed, _wrapped(heading), length, width)
 
 
-def _parse_row(row: list[str], cols: tuple[int, ...]) -> tuple:
-    """One validated row as (scenario_id, agent_id, agent_type, t, x, y,
-    speed, heading, length, width); cols are the row positions of
-    CANONICAL_COLUMNS. Raises ValueError or IndexError naming the fault."""
-    c_sid, c_aid, c_type, c_t, c_x, c_y, c_speed, c_heading, c_length, c_width = cols
-    scenario_id = row[c_sid].strip()
-    agent_id = row[c_aid].strip()
-    if not scenario_id or not agent_id:
-        raise ValueError("scenario_id and agent_id must be non-empty")
-    agent_type = _AGENT_TYPE.get(row[c_type].strip())
-    if agent_type is None:
-        raise ValueError(f"unknown agent_type: {row[c_type].strip()!r}")
-
-    t = _parse_float(row[c_t].strip(), "t")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if t >= MAX_T_S:
-        raise ValueError(f"t must be < {MAX_T_S:g}, got {t}")
-    if abs(t * 1000 - round(t * 1000)) > 1e-6:
-        raise ValueError(f"t has more than 3 decimal places: {t}")
-    t = round(t * 1e4) / 1e4
-
-    x = _parse_float(row[c_x].strip(), "x")
-    y = _parse_float(row[c_y].strip(), "y")
-    speed = _parse_float(row[c_speed].strip(), "speed")
-    if speed < 0:
-        raise ValueError(f"speed must be >= 0, got {speed}")
-    heading = normalize_heading(_parse_float(row[c_heading].strip(), "heading"))
-
-    length_raw, width_raw = row[c_length].strip(), row[c_width].strip()
-    if not length_raw or not width_raw:
-        if agent_type != "pedestrian":
-            raise ValueError("length/width may be empty only for pedestrians")
-        length = PEDESTRIAN_DEFAULT_LENGTH if not length_raw else _parse_float(length_raw, "length")
-        width = PEDESTRIAN_DEFAULT_WIDTH if not width_raw else _parse_float(width_raw, "width")
-    else:
-        length = _parse_float(length_raw, "length")
-        width = _parse_float(width_raw, "width")
-    if length <= 0 or width <= 0:
-        raise ValueError("length and width must be > 0")
-    return scenario_id, agent_id, agent_type, t, x, y, speed, heading, length, width
+def _first_fault(rules: list[tuple], i: int, size: int) -> str:
+    """The message of the first rule that row i, of size cells, fails."""
+    for reads, mask, message in rules:
+        if any(c >= size for c in reads):
+            return "list index out of range"
+        if mask[i]:
+            return message(i)
 
 
 def _canonical_scenarios(
@@ -644,8 +620,14 @@ _DATASET_CELLS = ("case_id", "track_id", "timestep", "x", "y", "vx", "vy", "psi_
 # a record is (line, has_vel, has_psi, *_DATASET_CELLS); positions in it
 _LINE, _CASE, _TRACK, _STEP = 0, 3, 4, 5
 
-# |timestep| must stay below this, so its time stays below MAX_T_S.
+# A timestep lies in [0, _MAX_TIMESTEP), so its time is a canonical t: at
+# least 0 and below MAX_T_S.
 _MAX_TIMESTEP = int(MAX_T_S * 10)
+
+
+def _bad_timesteps(step):
+    """Whether a timestep, or each of an array of them, is out of range."""
+    return (step < 0) | (step >= _MAX_TIMESTEP)
 
 
 class _Layout:
@@ -662,9 +644,9 @@ class _Layout:
         cells = (row[self.colindex.get(name, self.width)] for name in _DATASET_CELLS)
         return (line, self.has_vel, self.has_psi, *cells)
 
-    def column(self, block: _Block, name: str) -> list[str] | None:
+    def column(self, cells: list[str], name: str) -> list[str] | None:
         i = self.colindex.get(name)
-        return None if i is None else block.cells[i::self.width]
+        return None if i is None else cells[i::self.width]
 
 
 def adapt_external(paths: Sequence[str]) -> ParseResult:
@@ -679,10 +661,10 @@ def adapt_external(paths: Sequence[str]) -> ParseResult:
     diagnostic. See docs/dataset_format.md for the field-by-field mapping.
 
     Columns are converted a block at a time and every track is built from
-    them. A track that any check flags (a malformed or invalid cell, a
-    repeated timestep, a line that is not a plain row, files of different
-    layouts, dimensions it cannot take) is rebuilt from its lines by
-    _adapt_track, so every track diagnostic comes from there.
+    them. A track that any check flags (an invalid cell, a repeated or
+    out-of-range timestep, files of different layouts, dimensions it cannot
+    take) is read again by _adapt_track, which applies the same rules record
+    by record to report the first fault in record order.
     """
     issues: list[ParseIssue] = []
     case_ids: dict[str, int] = {}
@@ -734,21 +716,8 @@ def _dataset_columns(
 ) -> tuple[np.ndarray, ...]:
     """The columns (block b, line, case code, track code, category code,
     timestep, x, y, vx, vy, psi, length, width, no dimensions) of the
-    records of a block. A cell that does not convert reads NaN, a timestep
-    _MAX_TIMESTEP; so does the timestep of every row that is not a plain
-    row, whose track the row path then rebuilds."""
-    n = len(block.lines)
-    nan = np.full(n, math.nan)
-    vx, vy = (_floats(layout.column(block, name)) if layout.has_vel else nan for name in ("vx", "vy"))
-    psi = _floats(layout.column(block, "psi_rad")) if layout.has_vel and layout.has_psi else nan
-    no_dims = np.zeros(n, dtype=bool)
-    dims = []
-    for name in ("length", "width"):
-        cells = layout.column(block, name)
-        value, empty = (nan, ~no_dims) if cells is None else _dimensions(cells, dimensions)
-        dims.append(value)
-        no_dims = no_dims | empty
-
+    records of a block, the rows that are not plain rows laid out as plain
+    ones. A cell that does not convert reads NaN, a timestep _MAX_TIMESTEP."""
     others = []
     for line, row in block.others:
         rec = layout.record(line, row)
@@ -756,28 +725,34 @@ def _dataset_columns(
             issues.append(ParseIssue(line=line, scenario_id=rec[_CASE],
                                      message="row too short to hold case_id and track_id; row skipped"))
         else:
-            others.append((line, rec[_CASE], rec[_TRACK]))
-    lines, cases, tracks = (list(cells) for cells in zip(*others)) if others else ([], [], [])
-
-    def then(column: np.ndarray, fill) -> np.ndarray:
-        return np.concatenate((column, np.full(len(others), fill, dtype=column.dtype))) if others else column
-
+            others.append((line, row))
+    cells, lines = block.laid_out(layout.width, others)
+    n = len(lines)
+    nan = np.full(n, math.nan)
+    vx, vy = (_floats(layout.column(cells, name)) if layout.has_vel else nan for name in ("vx", "vy"))
+    psi = _floats(layout.column(cells, "psi_rad")) if layout.has_vel and layout.has_psi else nan
+    no_dims = np.zeros(n, dtype=bool)
+    dims = []
+    for name in ("length", "width"):
+        column = layout.column(cells, name)
+        value, empty = (nan, ~no_dims) if column is None else _dimensions(column, dimensions)
+        dims.append(value)
+        no_dims = no_dims | empty
     return (
-        np.full(n + len(others), b),
-        np.concatenate((block.lines, np.array(lines, dtype=np.int64))) if others else block.lines,
-        _codes(layout.column(block, "case_id") + cases, case_ids),
-        _codes(layout.column(block, "track_id") + tracks, track_ids),
-        then(_codes(layout.column(block, "object_category"), categories), -1),
-        then(_ints(layout.column(block, "timestep")), _MAX_TIMESTEP),
-        *(then(column, math.nan) for column in
-          (_floats(layout.column(block, "x")), _floats(layout.column(block, "y")), vx, vy, psi, *dims)),
-        then(no_dims, False),
+        np.full(n, b),
+        lines,
+        _codes(layout.column(cells, "case_id"), case_ids),
+        _codes(layout.column(cells, "track_id"), track_ids),
+        _codes(layout.column(cells, "object_category"), categories),
+        _ints(layout.column(cells, "timestep")),
+        *(_floats(layout.column(cells, name)) for name in ("x", "y")),
+        vx, vy, psi, *dims, no_dims,
     )
 
 
 def _ints(cells: list[str]) -> np.ndarray:
-    """int() of each cell; _MAX_TIMESTEP where int() raises or the value is
-    at least that in magnitude."""
+    """int() of each cell; _MAX_TIMESTEP where int() raises or, when a value
+    does not fit in int64, where the value is out of range."""
     try:
         return np.fromiter(map(int, cells), dtype=np.int64, count=len(cells))
     except (TypeError, ValueError, OverflowError):
@@ -789,7 +764,7 @@ def _timestep_or_bound(cell: str) -> int:
         step = int(cell)
     except (TypeError, ValueError):
         return _MAX_TIMESTEP
-    return step if abs(step) < _MAX_TIMESTEP else _MAX_TIMESTEP
+    return _MAX_TIMESTEP if _bad_timesteps(step) else step
 
 
 def _dataset_scenarios(
@@ -823,9 +798,9 @@ def _dataset_scenarios(
 
     # tracks for the row path: a malformed or out-of-range timestep, a
     # repeated one, files of different layouts, a single frame with no
-    # velocity columns, then a value that is not finite and dimensions that
-    # _shape leaves to it
-    flag = (step >= _MAX_TIMESTEP) | (step <= -_MAX_TIMESTEP)
+    # velocity columns, then a value that is not finite and dimensions
+    # that are neither missing nor finite and positive
+    flag = _bad_timesteps(step)
     flag[1:] |= ~new[1:] & ((step[1:] == step[:-1]) | (layout[1:] != layout[:-1]))
     flagged = np.logical_or.reduceat(flag, starts) | ((layout[starts] < 2) & (np.diff(bounds) < 2))
 
@@ -834,6 +809,8 @@ def _dataset_scenarios(
     del vx, vy, psi
     with np.errstate(invalid="ignore", over="ignore"):
         flagged |= np.logical_or.reduceat(~np.isfinite(x + y + speed + heading), starts)
+        dims = ((length > 0) & (width > 0) & np.isfinite(length + width))[starts]
+    flagged |= ~(no_dims[starts] | dims)
 
     agent_types = [_CATEGORY_MAP.get(name.strip().lower(), "other") for name in categories]
     shapes = [
@@ -851,6 +828,7 @@ def _dataset_scenarios(
             blocks[b] = (block_layout, block_first, None)
     track_of = track[starts].tolist()
     built = [k for k, shape in enumerate(shapes) if shape]
+    tracks: dict[int, TrackArrays] = {}
     if built:
         sizes = np.diff(bounds)[built]
         agent_type, length, width = zip(*(shapes[k] for k in built))
@@ -877,7 +855,13 @@ def _dataset_scenarios(
         agents: dict[str, Track] = {}
         for k in group:
             track_id = track_names[track_of[k]]
-            if shapes[k] is not None:
+            try:
+                if shapes[k] is None:  # the row path reports the first fault of a flagged track
+                    lo, hi = bounds[k], bounds[k + 1]
+                    recs = _records(blocks, zip(block[lo:hi].tolist(), line[lo:hi].tolist()), lines_of)
+                    tracks[k], near_zero[k] = _adapt_track(case_id, track_id, recs, issues)
+                    if tracks[k] is None:
+                        continue
                 if near_zero[k]:
                     issues.append(
                         ParseIssue(
@@ -886,12 +870,7 @@ def _dataset_scenarios(
                             message=f"track {track_id}: near-zero-speed frames inherit the previous heading",
                         )
                     )
-                agents[track_id] = tracks[k]
-                continue
-            lo, hi = bounds[k], bounds[k + 1]
-            recs = _records(blocks, zip(block[lo:hi].tolist(), line[lo:hi].tolist()), lines_of)
-            try:
-                adapted = _adapt_track(case_id, track_id, recs, issues)
+                agents[track_id] = tracks[k] if shapes[k] else tracks[k].check()
             except (ValueError, TypeError) as exc:
                 issues.append(
                     ParseIssue(
@@ -900,9 +879,6 @@ def _dataset_scenarios(
                         message=f"track {track_id}: malformed data ({exc}); track skipped",
                     )
                 )
-                continue
-            if adapted is not None:
-                agents[track_id] = adapted
         if AV_TRACK_ID not in agents:
             issues.append(
                 ParseIssue(
@@ -924,10 +900,9 @@ _ROWS_PER_SLICE = 1 << 13
 
 def _dataset_kinematics(layout, kept, bounds, t, x, y, vx, vy, psi) -> tuple[np.ndarray, ...]:
     """Speed, heading and whether the heading is held from an earlier frame,
-    for the rows of the kept tracks as _adapt_track derives them; NaN, NaN
-    and False in the other rows. Track k holds rows bounds[k] to
-    bounds[k + 1] - 1 and is kept when kept[k]; a slice of whole tracks is
-    derived at a time."""
+    for the rows of the kept tracks; NaN, NaN and False in the other rows.
+    Track k holds rows bounds[k] to bounds[k + 1] - 1 and is kept when
+    kept[k]; a slice of whole tracks is derived at a time."""
     n = len(t)
     out = np.full(n, math.nan), np.full(n, math.nan), np.zeros(n, dtype=bool)
     # a slice starts at the track that holds a multiple of _ROWS_PER_SLICE
@@ -955,25 +930,23 @@ def _slice_kinematics(layout, kept, first, last, t, x, y, vx, vy, psi) -> tuple[
     heading[rows] = _wrapped(psi[rows])
     rows = np.flatnonzero(kept & (layout == 2))
     angle = np.fromiter(map(math.atan2, vy[rows].tolist(), vx[rows].tolist()), dtype=np.float64, count=len(rows))
-    angle[angle == -math.pi] = math.pi  # all normalize_heading does to an angle of atan2
     held[rows] = ~(speed[rows] >= NEAR_ZERO_SPEED)
     heading[rows] = _held_heading(angle, ~held[rows], np.searchsorted(rows, first[rows]))
     rows = np.flatnonzero(kept & (layout < 2))
-    speed[rows], angle = _central_kinematics(
+    speed[rows], heading[rows] = _central_kinematics(
         t[rows], x[rows], y[rows], np.searchsorted(rows, first[rows]), np.searchsorted(rows, last[rows])
     )
-    angle[angle == -math.pi] = math.pi
-    heading[rows] = angle
+    heading[heading == -math.pi] = math.pi  # all normalize_heading does to an angle of atan2
     return speed, heading, held
 
 
 def _shape(agent_type: str, no_dims: bool, length: float, width: float) -> tuple[str, float, float] | None:
-    """(agent type, length, width) of a track from its first row, or None
-    when _adapt_track must decide: dimensions missing for a non-pedestrian,
-    or not finite and positive."""
+    """(agent type, length, width) of a track from its first row. Missing
+    dimensions are a pedestrian's default footprint, and skip (None) a track
+    of any other type."""
     if no_dims:
         return (agent_type, PEDESTRIAN_DEFAULT_LENGTH, PEDESTRIAN_DEFAULT_WIDTH) if agent_type == "pedestrian" else None
-    return (agent_type, length, width) if 0 < length < math.inf and 0 < width < math.inf else None
+    return agent_type, length, width
 
 
 def _records(blocks: list[tuple[_Layout, int, str]], rows: Iterable[tuple[int, int]], lines_of: dict) -> list[tuple]:
@@ -994,13 +967,17 @@ def _adapt_track(
     track_id: str,
     recs: list[tuple],
     issues: list[ParseIssue],
-) -> TrackArrays | None:
-    """One track's records as a validated TrackArrays, or None when the track
-    is skipped with a diagnostic. A malformed cell or an invalid frame
-    raises ValueError or TypeError, the first in record order."""
+) -> tuple[TrackArrays | None, bool]:
+    """One track's records as an unchecked TrackArrays (see
+    TrackArrays.check), or None when the track is skipped with a diagnostic,
+    and whether a heading is held from an earlier frame. A malformed cell or
+    an out-of-range timestep raises ValueError or TypeError, the first in
+    record order."""
     steps = [int(rec[_STEP]) for rec in recs]
-    if max(map(abs, steps)) >= _MAX_TIMESTEP:
-        raise ValueError(f"timestep must be below {_MAX_TIMESTEP} in magnitude")
+    bad = [step for step in steps if _bad_timesteps(step)]
+    if bad:
+        raise ValueError(f"timestep must be below {_MAX_TIMESTEP} in magnitude" if max(map(abs, bad)) >= _MAX_TIMESTEP
+                         else f"timestep must be >= 0, got {bad[0]}")
     order = np.argsort(steps, kind="stable")
     steps = np.array(steps, dtype=np.int64)[order]
     repeat = np.flatnonzero(steps[1:] == steps[:-1]) + 1
@@ -1016,15 +993,10 @@ def _adapt_track(
     recs = [recs[i] for i in np.delete(order, repeat).tolist()]
     steps = np.delete(steps, repeat)
     lines, has_vel, has_psi, _, _, _, xs, ys, vxs, vys, psis, categories, lengths, widths = zip(*recs)
-    agent_type = _CATEGORY_MAP.get((categories[0] or "").strip().lower(), "other")
-
-    length_raw = (lengths[0] or "").strip()
-    width_raw = (widths[0] or "").strip()
-    if length_raw and width_raw:
-        length, width = float(length_raw), float(width_raw)
-    elif agent_type == "pedestrian":
-        length, width = PEDESTRIAN_DEFAULT_LENGTH, PEDESTRIAN_DEFAULT_WIDTH
-    else:
+    dims = [(cell or "").strip() for cell in (lengths[0], widths[0])]
+    shape = _shape(_CATEGORY_MAP.get((categories[0] or "").strip().lower(), "other"), not all(dims),
+                   *(map(float, dims) if all(dims) else (math.nan, math.nan)))
+    if shape is None:
         issues.append(
             ParseIssue(
                 line=lines[0],
@@ -1032,56 +1004,24 @@ def _adapt_track(
                 message=f"track {track_id}: missing dimensions for non-pedestrian; track skipped",
             )
         )
-        return None
+        return None, False
 
     n = len(recs)
-    t = steps * 0.1
     xy = np.fromiter(map(float, chain.from_iterable(zip(xs, ys))), dtype=np.float64, count=2 * n)
-    x, y = xy[0::2], xy[1::2]
-    if has_vel[0]:
-        speed, heading = [], []
-        last_heading = 0.0
-        flagged = False
-        for vx_raw, vy_raw, psi_raw, psi_given in zip(vxs, vys, psis, has_psi):
-            vx, vy = float(vx_raw), float(vy_raw)
-            speed.append(math.hypot(vx, vy))
-            if psi_given:
-                heading.append(normalize_heading(float(psi_raw)))
-            elif speed[-1] >= NEAR_ZERO_SPEED:
-                last_heading = normalize_heading(math.atan2(vy, vx))
-                heading.append(last_heading)
-            else:
-                heading.append(last_heading)
-                flagged = True
-        if flagged:
-            issues.append(
-                ParseIssue(
-                    line=None,
-                    scenario_id=case_id,
-                    message=f"track {track_id}: near-zero-speed frames inherit the previous heading",
-                )
+    if not has_vel[0] and n < 2:
+        issues.append(
+            ParseIssue(
+                line=lines[0],
+                scenario_id=case_id,
+                message=f"track {track_id}: single frame and no velocity columns; track skipped",
             )
-    else:
-        if n < 2:
-            issues.append(
-                ParseIssue(
-                    line=lines[0],
-                    scenario_id=case_id,
-                    message=f"track {track_id}: single frame and no velocity columns; track skipped",
-                )
-            )
-            return None
-        speed, heading = _central_kinematics(t, x, y, 0, n - 1)
-        heading[heading == -math.pi] = math.pi  # all normalize_heading does to an angle of atan2
-
-    return TrackArrays.from_columns(
-        track_id,
-        np.rint(t * 1e4) / 1e4,
-        x,
-        y,
-        speed,
-        heading,
-        np.full(n, length),
-        np.full(n, width),
-        [agent_type] * n,
-    ).check()
+        )
+        return None, False
+    # the cells in record order, so the first malformed one raises
+    vel = [(float(vx), float(vy), normalize_heading(float(psi)) if given else math.nan) if has_vel[0]
+           else (math.nan,) * 3 for vx, vy, psi, given in zip(vxs, vys, psis, has_psi)]
+    t = steps * 0.1
+    speed, heading, held = _dataset_kinematics(has_vel[0] * (2 + np.array(has_psi, dtype=np.int8)), [True],
+                                               np.array([0, n]), t, *xy.reshape(n, 2).T, *np.array(vel).reshape(n, 3).T)
+    return TrackArrays.from_columns(track_id, np.rint(t * 1e4) / 1e4, *xy.reshape(n, 2).T, speed, heading,
+                                    np.full(n, shape[1]), np.full(n, shape[2]), [shape[0]] * n), bool(held.any())

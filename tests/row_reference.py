@@ -19,13 +19,13 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from conflictmetrics.metrics import (
+    AGENT_TYPES,
     MAX_T_S,
     PEDESTRIAN_DEFAULT_LENGTH,
     PEDESTRIAN_DEFAULT_WIDTH,
     TrackArrays,
 )
 from conflictmetrics.trajio import (
-    _AGENT_TYPE,
     _CATEGORY_MAP,
     _DATASET_REQUIRED,
     _MAX_TIMESTEP,
@@ -96,9 +96,9 @@ def parse_row(row: list[str], cols: tuple[int, ...]) -> tuple:
     agent_id = row[c_aid].strip()
     if not scenario_id or not agent_id:
         raise ValueError("scenario_id and agent_id must be non-empty")
-    agent_type = _AGENT_TYPE.get(row[c_type].strip())
-    if agent_type is None:
-        raise ValueError(f"unknown agent_type: {row[c_type].strip()!r}")
+    agent_type = row[c_type].strip()
+    if agent_type not in AGENT_TYPES:
+        raise ValueError(f"unknown agent_type: {agent_type!r}")
 
     t = _parse_float(row[c_t].strip(), "t")
     if t < 0:
@@ -242,6 +242,8 @@ def adapt_track(case_id, track_id, recs, issues):
     steps = [int(rec[_STEP]) for rec in recs]
     if max(map(abs, steps)) >= _MAX_TIMESTEP:
         raise ValueError(f"timestep must be below {_MAX_TIMESTEP} in magnitude")
+    if min(steps) < 0:
+        raise ValueError(f"timestep must be >= 0, got {next(step for step in steps if step < 0)}")
     order = np.argsort(steps, kind="stable")
     steps = np.array(steps, dtype=np.int64)[order]
     repeat = np.flatnonzero(steps[1:] == steps[:-1]) + 1

@@ -289,6 +289,27 @@ class TestDatasetFormat:
         assert [row[:3] for row in events[1:]] == [["#c", "AV", 'B"x'], ["c,1", "AV", 'B"x']]
 
 
+    def test_negative_timesteps_are_skipped_before_cleaned_csv(self, tmp_path, capsys):
+        """A timestep below 0 gives a time that canonical text cannot hold, so
+        filter-collisions skips its track, naming the first such timestep,
+        and events reads cleaned.csv without a diagnostic."""
+        header = "case_id,track_id,object_category,timestep,x,y,vx,vy,psi_rad,length,width"
+        row = "c1,{},vehicle,{},{},{},5.0,0.0,0.0,4.0,2.0"
+        rows = [row.format("AV", i, 0.5 * i, 0.0) for i in range(5)]
+        rows += [row.format("B", i, 0.5 * i, 9.0) for i in (0, -2, -1, 1)]
+        rows += [row.format("C", i, 0.5 * i, -9.0) for i in range(5)]
+        src = tmp_path / "export.csv"
+        src.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["filter-collisions", "--format", "dataset", "--input", str(src), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: c1: track B: malformed data (timestep must be >= 0, got -2); track skipped",
+        ]
+        assert main(["events", "--input", str(out / "cleaned.csv"), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert sorted(parse_canonical((out / "cleaned.csv").read_text()).scenarios[0].agents) == ["AV", "C"]
+
+
 @pytest.mark.parametrize(
     "flag,value",
     [

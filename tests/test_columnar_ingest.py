@@ -182,7 +182,7 @@ _DATASET_CELLS = {
     "track_id": Cells(["AV", "1", "2"], [" AV", ""]),
     "object_category": Cells(["av", "car", "pedestrian", "bus"], ["PEDESTRIAN ", "unicycle", ""]),
     "timestep": Cells([str(step) for step in range(40)] + ["999999999999999"], [
-        "٣", "1_0", "1.5", " 4 ", "", "1000000000000000", "-1000000000000000", "99999999999999999999"]),
+        "٣", "1_0", "1.5", " 4 ", "", "-1", "-3", "1000000000000000", "-1000000000000000", "99999999999999999999"]),
     "x": _FLOAT,
     "y": _FLOAT,
     "vx": Cells(["0", "5.0", "-3", "1e-4", "2.5"], ["nan", "inf", ""]),

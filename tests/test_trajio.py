@@ -392,6 +392,27 @@ def test_parse_diagnostics_are_pinned():
     assert [(s.t, s.y) for s in scenario.agents["B"]] == [(0.0, 3.0), (0.3, 3.3)]
 
 
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("s1,,vehicle,-1,0,0,5,0,4,2", "scenario_id and agent_id must be non-empty"),
+        ("s1,A,vehicle,-1,0,0,-5,0,4,2", "t must be >= 0, got -1.0"),
+        ("s1,A,vehicle,0.0, abc ,0,-5,0,4,2", "could not convert string to float: 'abc'"),
+        ("s1,A,pedestrian,0.0,0,0,-5,0", "speed must be >= 0, got -5.0"),
+        ("s1,A,pedestrian,0.0,0,0,5,0", "list index out of range"),
+        ("s1,A,vehicle,0.0,0,0,5,0, ,nan", "length/width may be empty only for pedestrians"),
+        ("s1,A,bike,inf,0,0,5,0,4,2", "unknown agent_type: 'bike'"),
+    ],
+)
+def test_a_row_with_two_faults_reports_the_first_it_reads(row, message):
+    """A row's cells are read in column order, each checked as it is read,
+    so the first fault wins; a row short of a cell fails where that cell is
+    read, as indexing it does, even a pedestrian's length."""
+    result = parse_canonical(f"{HEADER}\n{row}\n")
+    assert [(i.line, i.message) for i in result.issues] == [(2, message)]
+    assert result.scenarios == []
+
+
 def test_adapt_skips_only_the_track_with_a_malformed_cell(tmp_path):
     good = "{case},{track},{cat},{i},{x},0.0,5.0,0.0,{psi},{length},2.0"
     rows = []
@@ -461,6 +482,30 @@ def test_adapt_timestep_bound_is_exclusive(tmp_path):
         f"track {track}: malformed data (timestep must be below 1000000000000000 in magnitude); track skipped"
         for track in ("at", "neg")
     ]
+
+
+def test_adapt_single_frame_without_velocity_columns_is_skipped(tmp_path):
+    """Central differences need two frames, so in a positions-only export a
+    track of one frame is skipped, naming its line."""
+    header = "case_id,track_id,object_category,timestep,x,y,length,width"
+    rows = ["c1,AV,car,0,0.0,0.0,4.5,2.0", "c1,AV,car,1,0.5,0.0,4.5,2.0", "c1,B,car,0,9.0,0.0,4.5,2.0"]
+    result = adapt_external([_dataset_csv(tmp_path, rows, header=header)])
+    assert [(i.line, i.scenario_id, i.message) for i in result.issues] == [
+        (4, "c1", "track B: single frame and no velocity columns; track skipped"),
+    ]
+    assert sorted(result.scenarios[0].agents) == ["AV"]
+
+
+def test_adapt_psi_rad_without_velocity_columns_is_not_read(tmp_path):
+    """psi_rad is read only beside vx and vy; without them speed and heading
+    both come from positions, with no diagnostic."""
+    header = "case_id,track_id,object_category,timestep,x,y,psi_rad,length,width"
+    rows = [f"c1,AV,car,{i},0.0,{0.5 * i},1.0,4.5,2.0" for i in range(3)]
+    result = adapt_external([_dataset_csv(tmp_path, rows, header=header)])
+    assert result.issues == []
+    track = result.scenarios[0].agents["AV"]
+    assert [s.heading for s in track] == [math.pi / 2] * 3
+    assert [s.v for s in track] == pytest.approx([5.0] * 3)
 
 
 def test_adapt_short_row_is_a_row_diagnostic(tmp_path):
