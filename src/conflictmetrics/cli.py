@@ -20,6 +20,8 @@ import csv
 import io
 import json
 import math
+import os
+import pickle
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -249,14 +251,33 @@ def _events_of(run: list[Scenario], cfg: MetricsConfig) -> tuple[list[ConflictEv
     return corpus_events(run, cfg, skipped), skipped
 
 
-def _events_worker(send, run: list[Scenario], cfg: MetricsConfig) -> None:
-    """A forked worker: sends back _events_of its run, or the exception
-    that raised."""
+def _start_worker(run: list[Scenario], cfg: MetricsConfig) -> tuple[int, io.BufferedReader]:
+    """Forks a worker that writes one pickle to a pipe: _events_of its run, or
+    the exception that raised. Returns the worker's pid and the pipe's read
+    end. The worker exits 0 only once the whole pickle is written, and never
+    returns into its caller's frames."""
+    receive, send = os.pipe()
     try:
-        result = _events_of(run, cfg)
-    except Exception as exc:  # raised again in the parent
-        result = exc
-    send.send(result)
+        pid = os.fork()
+    except OSError:
+        os.close(receive)
+        os.close(send)
+        raise
+    if pid:
+        os.close(send)
+        return pid, open(receive, "rb")
+    code = 1
+    try:
+        os.close(receive)
+        try:
+            result = _events_of(run, cfg)
+        except Exception as exc:  # raised again in the parent
+            result = exc
+        with open(send, "wb") as pipe:
+            pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _collect_events(
@@ -266,31 +287,44 @@ def _collect_events(
     because the grid was too fine for them. With jobs > 1 the scenarios
     split into contiguous runs, one per process: this process takes the
     last, and jobs - 1 forked workers the others. A forked worker inherits
-    its run, so no scenario is pickled."""
+    its run, so no scenario is pickled. A worker that exits without sending
+    its result raises RuntimeError; on any error every worker not yet reaped
+    is terminated and reaped."""
     *others, own = _runs(scenarios, jobs) if jobs > 1 and len(scenarios) > 1 else [scenarios]
-    workers = []
-    if others:
-        import multiprocessing
-
-        fork = multiprocessing.get_context("fork")
-        for run in others:
-            receive, send = fork.Pipe(duplex=False)
-            worker = fork.Process(target=_events_worker, args=(send, run, cfg))
-            worker.start()
-            send.close()
-            workers.append((worker, receive))
+    workers: list[tuple[int, io.BufferedReader]] = []  # not yet reaped, in run order
     results = []
     try:
+        if others:
+            sys.stdout.flush()  # or a worker that writes would write what is buffered again
+            sys.stderr.flush()
+        for run in others:
+            workers.append(_start_worker(run, cfg))
         results.append(_events_of(own, cfg))
-        # read every result before joining: a worker exits only once its result is read
-        results.extend(receive.recv() for _, receive in workers)
+        # read a result to its end before reaping its worker: a worker exits
+        # only once its result is read
+        while workers:
+            pid, pipe = workers[0]
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del workers[0]
+            code = os.waitstatus_to_exitcode(status)
+            if code:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+                raise RuntimeError(f"events worker {pid} {how} without sending its result")
+            results.append(pickle.loads(data))
     except BaseException:
-        for worker, _ in workers:
-            worker.terminate()
+        import signal
+
+        for pid, pipe in workers:
+            pipe.close()
+            try:
+                if os.waitpid(pid, os.WNOHANG) == (0, 0):  # not exited, so the pid is still this worker's
+                    os.kill(pid, signal.SIGTERM)
+                    os.waitpid(pid, 0)
+            except ChildProcessError:  # reaped just before the error was raised
+                pass
         raise
-    finally:
-        for worker, _ in workers:
-            worker.join()
     for result in results:
         if isinstance(result, Exception):
             raise result
@@ -513,9 +547,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         type=_checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0"),
                         help="conflict-zone raster resolution in meters (default 0.1)")
     parser.add_argument("--out", required=True, metavar="DIR", help="output directory")
-    parser.add_argument("--jobs", default=1, type=_checked(int, lambda v: v >= 1, ">= 1"),
+    forks = hasattr(os, "fork")
+    parser.add_argument("--jobs", default=1,
+                        type=_checked(int, lambda v: v == 1 or v > 1 and forks,
+                                      ">= 1" if forks else "1 where os.fork is unavailable"),
                         help="worker processes for events, each taking one contiguous run of "
-                             "scenarios; the other commands run in one process")
+                             "scenarios; the other commands run in one process. Workers are "
+                             "forked, so --jobs above 1 needs os.fork (not on Windows)")
 
 
 def build_parser() -> argparse.ArgumentParser:

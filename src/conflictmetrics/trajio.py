@@ -993,6 +993,16 @@ def _adapt_track(
     recs = [recs[i] for i in np.delete(order, repeat).tolist()]
     steps = np.delete(steps, repeat)
     lines, has_vel, has_psi, _, _, _, xs, ys, vxs, vys, psis, categories, lengths, widths = zip(*recs)
+    mixed = next((line for line, vel in zip(lines, has_vel) if vel != has_vel[0]), None)
+    if mixed is not None:
+        issues.append(
+            ParseIssue(
+                line=mixed,
+                scenario_id=case_id,
+                message=f"track {track_id}: records mix layouts with and without vx/vy; track skipped",
+            )
+        )
+        return None, False
     dims = [(cell or "").strip() for cell in (lengths[0], widths[0])]
     shape = _shape(_CATEGORY_MAP.get((categories[0] or "").strip().lower(), "other"), not all(dims),
                    *(map(float, dims) if all(dims) else (math.nan, math.nan)))

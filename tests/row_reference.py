@@ -253,6 +253,10 @@ def adapt_track(case_id, track_id, recs, issues):
     recs = [recs[i] for i in np.delete(order, repeat).tolist()]
     steps = np.delete(steps, repeat)
     lines, has_vel, has_psi, _, _, _, xs, ys, vxs, vys, psis, categories, lengths, widths = zip(*recs)
+    for line, vel in zip(lines, has_vel):
+        if vel != has_vel[0]:
+            issues.append(ParseIssue(line, case_id, f"track {track_id}: records mix layouts with and without vx/vy; track skipped"))
+            return None
     agent_type = _CATEGORY_MAP.get((categories[0] or "").strip().lower(), "other")
 
     length_raw = (lengths[0] or "").strip()

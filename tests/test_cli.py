@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -69,6 +70,14 @@ def dirty_corpus_file(tmp_path):
     path = tmp_path / "dirty.csv"
     path.write_text("\n".join([HEADER] + rows) + "\n", encoding="utf-8")
     return path
+
+
+def _run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Runs code in a fresh interpreter that imports this package's source,
+    so the modules loaded are exactly those the code loads."""
+    src = str(Path(conflictmetrics.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)
 
 
 class TestFrames:
@@ -167,15 +176,13 @@ class TestEvents:
     def test_events_leaves_numpy_ma_unimported(self, tmp_path, corpus_file):
         """numpy's intersect1d, isin and unique without index outputs import
         numpy.ma on first use; events, PET included, calls none of them."""
-        src = str(Path(conflictmetrics.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         run = ("import sys\n"
                "import conflictmetrics.cli as cli\n"
                "code = cli.main(['events', '--input', sys.argv[1], '--out', sys.argv[2]])\n"
                "print(code, 'numpy.ma' in sys.modules)\n")
         out = tmp_path / "out"
-        proc = subprocess.run([sys.executable, "-c", run, str(corpus_file), str(out)],
-                              capture_output=True, text=True, env=env, check=True)
+        proc = _run_fresh(run, str(corpus_file), str(out))
+        assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [str(EXIT_OK), "False"]
         pets = [line.split(",")[7] for line in (out / "events.csv").read_text().splitlines()[1:]]
         assert any(pets)
@@ -450,6 +457,120 @@ def test_jobs_worker_error_is_raised_in_the_parent(tmp_path, monkeypatch):
         cli._collect_events(scenarios, MetricsConfig(), 2)
 
 
+def _three_runs(tmp_path):
+    src = tmp_path / "corpus.csv"
+    src.write_text("\n".join([HEADER] + [row for sid in ("s0", "s1", "s2") for row in _head_on_rows(sid)]) + "\n",
+                   encoding="utf-8")
+    with open(src, encoding="utf-8") as fh:
+        scenarios = parse_canonical(fh).scenarios
+    assert len(_runs(scenarios, 3)) == 3
+    return src, scenarios
+
+
+@pytest.mark.parametrize("die,message", [
+    (lambda: os._exit(3), r"events worker \d+ exited with code 3 without sending its result"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), r"events worker \d+ was killed by signal 9 without sending its result"),
+], ids=["exit", "signal"])
+def test_jobs_worker_that_dies_is_named_and_every_worker_reaped(tmp_path, monkeypatch, die, message):
+    import conflictmetrics.cli as cli
+
+    _, scenarios = _three_runs(tmp_path)
+    real = cli.corpus_events
+
+    def dying(run, cfg, skipped):
+        if run[0].scenario_id == "s0":  # the first worker's run
+            die()
+        return real(run, cfg, skipped)
+
+    monkeypatch.setattr(cli, "corpus_events", dying)
+    with pytest.raises(RuntimeError, match=message):
+        cli._collect_events(scenarios, MetricsConfig(), 3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_jobs_error_in_the_own_run_propagates_and_reaps_every_worker(tmp_path, monkeypatch):
+    import conflictmetrics.cli as cli
+
+    _, scenarios = _three_runs(tmp_path)
+    real = cli.corpus_events
+
+    def failing(run, cfg, skipped):
+        if run[0].scenario_id == "s2":  # the last run, which this process takes
+            raise ValueError("scenario s2 failed")
+        return real(run, cfg, skipped)
+
+    monkeypatch.setattr(cli, "corpus_events", failing)
+    with pytest.raises(ValueError, match="scenario s2 failed"):
+        cli._collect_events(scenarios, MetricsConfig(), 3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_jobs_above_1_without_fork_is_a_usage_error(tmp_path, corpus_file, capsys, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(SystemExit) as exc:
+        main(["events", "--input", str(corpus_file), "--out", str(tmp_path / "out"), "--jobs", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith("argument --jobs: must be 1 where os.fork is unavailable, got '2'")
+    assert "Traceback" not in err
+    assert main(["events", "--input", str(corpus_file), "--out", str(tmp_path / "out"), "--jobs", "1"]) == EXIT_OK
+
+
+def test_parallel_events_import_no_multiprocessing(tmp_path, corpus_file):
+    run = ("import sys\n"
+           "import conflictmetrics.cli as cli\n"
+           "code = cli.main(['events', '--input', sys.argv[1], '--out', sys.argv[2], '--jobs', '2'])\n"
+           "print(code, *(name in sys.modules for name in ('multiprocessing', 'socket', 'subprocess')))\n")
+    with open(corpus_file, encoding="utf-8") as fh:
+        assert len(_runs(parse_canonical(fh).scenarios, 2)) == 2
+    proc = _run_fresh(run, str(corpus_file), str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(EXIT_OK), "False", "False", "False"]
+
+
+def test_parallel_events_write_what_was_buffered_before_once(tmp_path, monkeypatch):
+    """Text buffered before the workers start is written by this process
+    alone, though each worker writes and flushes text of its own."""
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)  # so stdout and stderr buffer
+    src, _ = _three_runs(tmp_path)
+    run = ("import sys\n"
+           "import conflictmetrics.cli as cli\n"
+           "real = cli.corpus_events\n"
+           "def noisy(run, cfg, skipped):\n"
+           "    print('run', run[0].scenario_id, flush=True)\n"
+           "    print('run', run[0].scenario_id, file=sys.stderr, flush=True)\n"
+           "    return real(run, cfg, skipped)\n"
+           "cli.corpus_events = noisy\n"
+           "print('buffered')\n"
+           "sys.stderr.write('partial ')\n"
+           "sys.exit(cli.main(['events', '--input', sys.argv[1], '--out', sys.argv[2], '--jobs', '3']))\n")
+    proc = _run_fresh(run, str(src), str(tmp_path / "out"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.count("buffered") == 1 and proc.stderr.count("partial") == 1
+    assert sorted(proc.stdout.splitlines()) == ["buffered", "run s0", "run s1", "run s2"]
+
+
+def test_parallel_events_stderr_does_not_depend_on_jobs(tmp_path):
+    """Diagnostics of the parse and of PET in a worker's run read the same
+    at every --jobs."""
+    src = tmp_path / "corpus.csv"
+    rows = _diagonal_rows() + _head_on_rows("s1") + _head_on_rows("s2") + ["s2,A,vehicle,9.9,x,0.0,10.0,0.0,4.0,2.0"]
+    src.write_text("\n".join([HEADER] + rows) + "\n", encoding="utf-8")
+    with open(src, encoding="utf-8") as fh:
+        assert len(_runs(parse_canonical(fh).scenarios, 3)) == 3
+    run = "import sys\nimport conflictmetrics.cli as cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+    errs = set()
+    for jobs in ("1", "2", "3"):
+        proc = _run_fresh(run, "events", "--input", str(src), "--out", str(tmp_path / jobs), "--pet-grid", "0.005",
+                          "--jobs", jobs)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        errs.add(proc.stderr)
+    (err,) = errs
+    assert "could not convert string to float: 'x'" in err and "pet_grid=0.005" in err
+
+
 def test_diagnostics_name_only_the_scenario_and_line_they_know(tmp_path, capsys):
     """A row diagnostic names its line, a scenario-level one its scenario, a
     dataset track's repeated timestep both; nothing absent is printed."""
@@ -477,9 +598,7 @@ def test_every_traced_layer_resolves_after_importing_the_cli():
     default; a layer function renamed away or a module the CLI no longer
     imports would end its run. Checked in a fresh interpreter, so the
     modules loaded are exactly those the CLI loads."""
-    src = str(Path(conflictmetrics.__file__).resolve().parents[1])
     bench = str(Path(__file__).resolve().parents[1] / "bench")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     check = ("import sys\n"
              "import conflictmetrics.cli, conflictmetrics.metrics\n"
              "sys.path.insert(0, sys.argv[1])\n"
@@ -487,6 +606,6 @@ def test_every_traced_layer_resolves_after_importing_the_cli():
              "for home, attr in traced.LAYERS:\n"
              "    assert callable(getattr(sys.modules[f'conflictmetrics.{home}'], attr)), (home, attr)\n"
              "print(len(traced.LAYERS))\n")
-    proc = subprocess.run([sys.executable, "-c", check, bench], capture_output=True, text=True, env=env)
+    proc = _run_fresh(check, bench)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) > 0

@@ -508,6 +508,25 @@ def test_adapt_psi_rad_without_velocity_columns_is_not_read(tmp_path):
     assert [s.v for s in track] == pytest.approx([5.0] * 3)
 
 
+def test_adapt_track_across_exports_with_and_without_velocity_is_skipped(tmp_path):
+    """A track whose records come from an export with vx/vy and one without
+    is skipped, naming the line of its first record (by timestep) whose
+    layout differs from its first record's, whichever export comes first."""
+    vel = [f"{case},AV,car,{i},{0.5 * i},0.0,5.0,0.0,0.0,4.5,2.0" for case in ("c1", "c2") for i in range(4)]
+    vel[4:4] = [f"c1,B,car,{i},{0.5 * i},9.0,5.0,0.0,0.0,4.5,2.0" for i in (0, 1)]  # lines 6-7
+    vel += [f"c2,B,car,{i},{0.5 * i},9.0,5.0,0.0,0.0,4.5,2.0" for i in (2, 3)]  # lines 12-13
+    pos = [f"{case},B,car,{i},{0.5 * i},9.0,4.5,2.0" for case, steps in (("c1", (2, 3)), ("c2", (0, 1))) for i in steps]
+    paths = [_dataset_csv(tmp_path, vel, name="vel.csv"),
+             _dataset_csv(tmp_path, pos, header="case_id,track_id,object_category,timestep,x,y,length,width",
+                          name="pos.csv")]
+    result = adapt_external(paths)
+    assert [(i.line, i.scenario_id, i.message) for i in result.issues] == [
+        (2, "c1", "track B: records mix layouts with and without vx/vy; track skipped"),
+        (12, "c2", "track B: records mix layouts with and without vx/vy; track skipped"),
+    ]
+    assert [sorted(s.agents) for s in result.scenarios] == [["AV"], ["AV"]]
+
+
 def test_adapt_short_row_is_a_row_diagnostic(tmp_path):
     """A row too short to reach its case_id or track_id cell is reported by
     line and skipped; the rest of the file still parses."""
