@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .metrics import ContactRegion, FrameMetrics, MetricsConfig, PetGridError, frame_columns, joined_pairs, pets
+from .metrics import (ContactRegion, FrameMetrics, MetricsConfig, PetGridError, _chunks, _join, _pets, frame_columns,
+                      joined_pairs)
 
 if TYPE_CHECKING:
     from .trajio import Scenario
@@ -139,23 +140,24 @@ def corpus_events(
     pet_skipped: list[tuple[str, str, str, str]] | None = None,
 ) -> list[ConflictEvent]:
     """The event of every pair with common frames, scenario by scenario in
-    Scenario.pairs order, computed as one kernel pass (frame_columns), one
-    _reduce and one PET pass (pets) per chunk of joined pairs. A pair whose
-    PET raster would be too fine gets pet None and, when pet_skipped is
-    given, an entry (scenario_id, agent_a, agent_b, message) there."""
+    Scenario.pairs order: per chunk of joined pairs, one stack of its tracks
+    for one kernel pass (frame_columns), one _reduce and one PET pass. A
+    pair whose PET raster would be too fine gets pet None and, when
+    pet_skipped is given, an entry (scenario_id, agent_a, agent_b, message)
+    there."""
     events = []
-    pairs = (((s, pair), s.agents[pair[0]], s.agents[pair[1]]) for s in scenarios for pair in s.pairs())
-    for keys, a, b, bounds in joined_pairs(pairs):
-        reduced = _reduce(frame_columns(a, b, cfg), bounds[:-1], cfg)
-        pet_values = pets([(s.agents[pair[0]], s.agents[pair[1]]) for s, pair in keys], cfg)
-        for (scenario, pair), (mei_max, t_mei_max, act_min, t_act_min, peak, count), pet in zip(
-                keys, reduced, pet_values):
+    pairs = (((s.scenario_id, pair), s.agents[pair[0]], s.agents[pair[1]]) for s in scenarios for pair in s.pairs())
+    for keys, chunk in _chunks(pairs):
+        joined, starts, a, b = _join(chunk)
+        reduced = _reduce(frame_columns(a, b, cfg), starts, cfg)
+        for k, (mei_max, t_mei_max, act_min, t_act_min, peak, count), pet in zip(
+                joined.tolist(), reduced, _pets(chunk, joined, cfg)):
+            scenario_id, pair = keys[k]
             if isinstance(pet, PetGridError):
                 if pet_skipped is not None:
-                    pet_skipped.append((scenario.scenario_id, *pair, str(pet)))
+                    pet_skipped.append((scenario_id, *pair, str(pet)))
                 pet = None
-            events.append(ConflictEvent(scenario.scenario_id, pair, mei_max, t_mei_max, act_min, t_act_min,
-                                        pet, peak, count))
+            events.append(ConflictEvent(scenario_id, pair, mei_max, t_mei_max, act_min, t_act_min, pet, peak, count))
     return events
 
 

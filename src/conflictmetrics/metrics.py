@@ -295,6 +295,9 @@ K = TypeVar("K")
 
 
 def as_arrays(track: Track) -> TrackArrays:
+    """The track as TrackArrays, frames as given. The kernels read every
+    track by the track rule: frames stably sorted by time, a repeated
+    timestamp keeping its first frame, as the parsers build them (_stack)."""
     return track if isinstance(track, TrackArrays) else TrackArrays.from_states(track)
 
 
@@ -646,12 +649,11 @@ def compute_pair_frames(
     track_b: Track,
     cfg: MetricsConfig = MetricsConfig(),
 ) -> list[FrameMetrics]:
-    """Frame metrics over the common clock of two time-sorted tracks, given
-    as AgentState sequences or as TrackArrays: the one-pair call of
-    joined_pairs."""
-    for _, a, b, _ in joined_pairs([(None, track_a, track_b)]):
-        return _frames(a, b, cfg)
-    return []
+    """Frame metrics over the common clock of two tracks, given as AgentState
+    sequences or as TrackArrays and read by the track rule (as_arrays): the
+    one-pair case of joined_pairs."""
+    _, _, a, b = _join(_stack([(track_a, track_b)]))
+    return _frames(a, b, cfg)
 
 
 def joined_pairs(pairs: Iterable[tuple[K, Track, Track]]) -> Iterator[tuple[list[K], TrackArrays, TrackArrays, np.ndarray]]:
@@ -660,68 +662,70 @@ def joined_pairs(pairs: Iterable[tuple[K, Track, Track]]) -> Iterator[tuple[list
     frames together (a pair with more is a chunk of its own). Yields per
     chunk the keys of its pairs with common frames, one frame-aligned
     TrackArrays per side, and the segment bounds: pair k holds frames
-    bounds[k]:bounds[k + 1]. A pair's common frames are its a track's frames
-    whose timestamp b holds, in a's time order (stably); a timestamp repeated
-    in b resolves to its last frame there, one repeated in a gives one frame
-    per repeat."""
-    keys: list[K] = []
-    chunk: list[tuple[TrackArrays, TrackArrays]] = []
-    width = 0
+    bounds[k]:bounds[k + 1]. By the track rule (as_arrays), a pair's common
+    frames are its a track's frames whose timestamp b holds, in time order,
+    a repeated timestamp taking its first frame in either track."""
+    for keys, chunk in _chunks(pairs):
+        joined, starts, a, b = _join(chunk)
+        if joined.size:
+            yield [keys[k] for k in joined.tolist()], a, b, np.append(starts, len(a))
+
+
+def _chunks(pairs: Iterable[tuple[K, Track, Track]]) -> Iterator[tuple[list[K], tuple]]:
+    """The chunks of joined_pairs: per chunk, its keys and its pairs'
+    tracks stacked once (_stack), for the join and PET alike."""
+    keys, chunk, width = [], [], 0
     for key, track_a, track_b in pairs:
-        a, b = as_arrays(track_a), as_arrays(track_b)
-        if chunk and width + len(a) > KERNEL_BATCH_FRAMES:
-            yield from _join(keys, chunk)
+        if chunk and width + len(track_a) > KERNEL_BATCH_FRAMES:
+            yield keys, _stack(chunk)
             keys, chunk, width = [], [], 0
         keys.append(key)
-        chunk.append((a, b))
-        width += len(a)
+        chunk.append((track_a, track_b))
+        width += len(track_a)
     if chunk:
-        yield from _join(keys, chunk)
+        yield keys, _stack(chunk)
 
 
-def _stack(pairs: list[tuple[TrackArrays, TrackArrays]], columns: Sequence[str] = _TRACK_COLUMNS
-           ) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct tracks of pairs (by identity) laid end to end: the named
-    columns of their frames, each track's first frame and size, and per pair
-    the indices of its a and b tracks among them."""
+def _stack(pairs: Sequence[tuple[Track, Track]]) -> tuple[TrackArrays, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct tracks of pairs (by identity) laid end to end by the track
+    rule: their frames, each track's first frame and size, and per pair the
+    indices of its a and b tracks. One test over the stacked timestamps finds
+    the tracks whose t_dms do not strictly increase, which no parsed track
+    is, and only those are normalized."""
     slot: dict[int, int] = {}
     tracks: list[TrackArrays] = []
     for track in (track for pair in pairs for track in pair):
         if slot.setdefault(id(track), len(tracks)) == len(tracks):
-            tracks.append(track)
-    ka, kb = np.array([[slot[id(a)], slot[id(b)]] for a, b in pairs], dtype=np.int64).T
+            tracks.append(as_arrays(track))
+    owner = np.repeat(np.arange(len(tracks)), [len(track) for track in tracks])
+    t_dms = np.concatenate([track.t_dms for track in tracks])
+    for k in set(owner[1:][(t_dms[1:] <= t_dms[:-1]) & (owner[1:] == owner[:-1])].tolist()):
+        # np.unique's index is the first frame of each timestamp, in time order
+        tracks[k] = tracks[k].take(np.unique(tracks[k].t_dms, return_index=True)[1])
     size = np.array([len(track) for track in tracks], dtype=np.int64)
-    stacked = {name: np.concatenate([getattr(tr, name) for tr in tracks]) for name in columns}
-    return stacked, np.cumsum(size) - size, size, ka, kb
+    frames = TrackArrays("", *(np.concatenate([getattr(track, name) for track in tracks]) for name in _TRACK_COLUMNS))
+    ka, kb = np.array([[slot[id(a)], slot[id(b)]] for a, b in pairs], dtype=np.int64).T
+    return frames, np.cumsum(size) - size, size, ka, kb
 
 
-def _join(keys: list[K], pairs: list[tuple[TrackArrays, TrackArrays]]
-          ) -> Iterator[tuple[list[K], TrackArrays, TrackArrays, np.ndarray]]:
-    """One chunk of joined_pairs: the common frames of every pair at once,
-    on the distinct tracks of the chunk laid end to end."""
-    columns, start, size, ka, kb = _stack(pairs)
-    frames = TrackArrays("", **columns)
-    # a (track, timestamp) code per frame; a timestamp repeated in a track
-    # resolves to its last frame there
+def _join(chunk: tuple) -> tuple[np.ndarray, np.ndarray, TrackArrays, TrackArrays]:
+    """The common frames of every pair of a stacked chunk at once: the pairs
+    that have any, where their segments start, and the frame-aligned
+    TrackArrays of each side."""
+    frames, start, size, ka, kb = chunk
+    # a (track, timestamp) code per frame, by the track rule strictly increasing
     times, rank = np.unique(frames.t_dms, return_inverse=True)
     code = np.repeat(np.arange(len(size)), size) * len(times) + rank
-    order = np.argsort(code, kind="stable")
-    last = np.append(code[order][1:] != code[order][:-1], True)
-    codes, last_frame = code[order][last], order[last]
-    # every frame of each pair's a track, looked up among b's frames
+    # every frame of each pair's a track, in time order, looked up among b's
     length = size[ka]
-    segment = np.repeat(np.arange(len(pairs)), length)
+    segment = np.repeat(np.arange(len(ka)), length)
     ia = np.arange(length.sum()) + np.repeat(start[ka] - (np.cumsum(length) - length), length)
     query = kb[segment] * len(times) + rank[ia]
-    pos = np.minimum(np.searchsorted(codes, query), len(codes) - 1)
-    found = codes[pos] == query
-    ia, ib, segment = ia[found], last_frame[pos[found]], segment[found]
-    # each segment in a's time order, stably
-    order = np.lexsort((frames.t[ia], segment))
-    count = np.bincount(segment, minlength=len(pairs))
-    if ia.size:
-        yield ([key for key, n in zip(keys, count.tolist()) if n], frames.take(ia[order]), frames.take(ib[order]),
-               np.cumsum([0, *count[count > 0].tolist()]))
+    ib = np.minimum(np.searchsorted(code, query), len(code) - 1)
+    found = code[ib] == query
+    count = np.bincount(segment[found], minlength=len(ka))
+    joined = np.flatnonzero(count)
+    return joined, (np.cumsum(count) - count)[joined], frames.take(ia[found]), frames.take(ib[found])
 
 
 # ---------------------------------------------------------------------------
@@ -729,13 +733,13 @@ def _join(keys: list[K], pairs: list[tuple[TrackArrays, TrackArrays]]
 # ---------------------------------------------------------------------------
 
 
-def _box_bounds(frames: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _box_bounds(frames: TrackArrays) -> tuple[np.ndarray, np.ndarray]:
     """(2, N) lower and upper (x, y) corner bounds of every box, from the
     corners by the expressions of geometry.corners, so the raster windows
     match it to the bit."""
-    x, y, cos_h, sin_h = frames["x"], frames["y"], frames["cos_h"], frames["sin_h"]
-    lx, ly = 0.5 * frames["length"] * cos_h, 0.5 * frames["length"] * sin_h
-    wx, wy = 0.5 * frames["width"] * -sin_h, 0.5 * frames["width"] * cos_h
+    x, y, cos_h, sin_h = frames.x, frames.y, frames.cos_h, frames.sin_h
+    lx, ly = 0.5 * frames.length * cos_h, 0.5 * frames.length * sin_h
+    wx, wy = 0.5 * frames.width * -sin_h, 0.5 * frames.width * cos_h
     xs = np.stack([x + lx - wx, x + lx + wx, x - lx - wx, x - lx + wx])
     ys = np.stack([y + ly - wy, y + ly + wy, y - ly - wy, y - ly + wy])
     return np.stack([xs.min(axis=0), ys.min(axis=0)]), np.stack([xs.max(axis=0), ys.max(axis=0)])
@@ -791,7 +795,7 @@ def _meeting_windows(seg: np.ndarray, lo: np.ndarray, hi: np.ndarray, pairs: int
     return meets
 
 
-def _occupied(frames: dict[str, np.ndarray], box: np.ndarray, seg: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+def _occupied(frames: TrackArrays, box: np.ndarray, seg: np.ndarray, lo: np.ndarray, hi: np.ndarray,
               origin: np.ndarray, grid: float, pairs: int) -> np.ndarray:
     """Per box (frame box of the stacked frames, of pair seg >> 1 and side
     seg & 1, with window lo to hi of the raster at origin), whether one of
@@ -829,7 +833,7 @@ def _occupied(frames: dict[str, np.ndarray], box: np.ndarray, seg: np.ndarray, l
     order = np.lexsort((dims[1], dims[0], later))
     first = int(np.count_nonzero(later == 0))
     ox, oy = origin[:, order]
-    x, y, cos_h, sin_h, length, width = (frames[name][box[order]]
+    x, y, cos_h, sin_h, length, width = (getattr(frames, name)[box[order]]
                                          for name in ("x", "y", "cos_h", "sin_h", "length", "width"))
     half_l, half_w = 0.5 * length, 0.5 * width
     lo, dims, size, stride, own, other = lo[:, order], dims[:, order], size[order], stride[order], own[order], other[order]
@@ -880,26 +884,31 @@ def _occupied(frames: dict[str, np.ndarray], box: np.ndarray, seg: np.ndarray, l
 
 def pets(pairs: Sequence[tuple[Track, Track]], cfg: MetricsConfig = MetricsConfig()) -> list[float | PetGridError | None]:
     """pet() of many pairs in one pass: per pair its PET, or the PetGridError
-    pet() raises for it; None for a pair with a track of fewer than 2 frames.
+    pet() raises for it; None for a pair with a track of fewer than 2 frames
+    by the track rule (as_arrays)."""
+    return _pets(_stack(pairs), np.arange(len(pairs)), cfg) if pairs else []
 
-    Box corners and bounds are computed once per distinct track, and the
-    swept bounding boxes of all pairs are tested at once. A pair whose boxes
-    meet gets pet()'s raster, but only the boxes whose integer window meets
-    a window of the other agent's are rasterized, and only where both
-    agents' windows lie: no other cell can be in the conflict zone. The
-    boxes of all pairs go in shared batches, each cell once; a box occupies
-    the zone iff one of its cells lies in the other agent's swept mask."""
-    pairs = [(as_arrays(a), as_arrays(b)) for a, b in pairs]
-    result: list[float | PetGridError | None] = [None] * len(pairs)
-    index = [k for k, (a, b) in enumerate(pairs) if len(a) >= 2 and len(b) >= 2]
+
+def _pets(chunk: tuple, which: np.ndarray, cfg: MetricsConfig) -> list[float | PetGridError | None]:
+    """pets() of the pairs which of a stacked chunk (_stack). Box bounds are
+    computed once per frame of the chunk, and the swept bounding boxes of
+    all pairs are tested at once. A pair whose boxes meet gets pet()'s
+    raster, but only on the boxes whose window meets one of the other
+    agent's (_meeting_windows), where both agents' windows lie (_occupied):
+    no other cell can be in the conflict zone."""
+    frames, start, size, ka, kb = chunk
+    result: list[float | PetGridError | None] = [None] * len(which)
+    index = np.flatnonzero((size[ka[which]] >= 2) & (size[kb[which]] >= 2)).tolist()
     if not index:
         return result
-    frames, start, size, ka, kb = _stack([pairs[k] for k in index],
-                                         ("t_dms", "x", "y", "cos_h", "sin_h", "length", "width"))
+    ka, kb = ka[which[index]], kb[which[index]]
     grid = cfg.pet_grid
     box_lo, box_hi = _box_bounds(frames)
-    track_lo = np.minimum.reduceat(box_lo, start, axis=1)
-    track_hi = np.maximum.reduceat(box_hi, start, axis=1)
+    # reduceat takes no empty segment, and no pair here has an empty track
+    track_lo, track_hi = np.zeros((2, 2, len(size)))
+    filled = size > 0
+    track_lo[:, filled] = np.minimum.reduceat(box_lo, start[filled], axis=1)
+    track_hi[:, filled] = np.maximum.reduceat(box_hi, start[filled], axis=1)
 
     # the window where the swept bounding boxes meet, and its raster
     zone_lo, zone_hi = np.maximum(track_lo[:, ka], track_lo[:, kb]), np.minimum(track_hi[:, ka], track_hi[:, kb])
@@ -935,7 +944,7 @@ def pets(pairs: Sequence[tuple[Track, Track]], cfg: MetricsConfig = MetricsConfi
 
     # the least gap between an occupancy time of a and one of b is the least
     # gap between neighbours of different sides among the pair's sorted times
-    pair, side, t = pair[occupied], seg[occupied] & 1, frames["t_dms"][box[occupied]]
+    pair, side, t = pair[occupied], seg[occupied] & 1, frames.t_dms[box[occupied]]
     order = np.lexsort((t, pair))
     pair, side, t = pair[order], side[order], t[order]
     cross = (pair[1:] == pair[:-1]) & (side[1:] != side[:-1])
@@ -963,10 +972,10 @@ def pet(
     when their occupancy does not interleave. None when the zone is empty.
     Raises PetGridError when the raster would exceed 1e8 cells.
     """
-    a, b = as_arrays(track_a), as_arrays(track_b)
-    if len(a) < 2 or len(b) < 2:
+    chunk = _stack([(track_a, track_b)])
+    if (chunk[2] < 2).any():
         raise ValueError("PET needs at least 2 frames per track")
-    (value,) = pets([(a, b)], cfg)
+    (value,) = _pets(chunk, np.arange(1), cfg)
     if isinstance(value, PetGridError):
         raise value
     return value

@@ -1,11 +1,15 @@
-"""Frame-by-frame walks of the risk classification and the event reduction:
-the reference for classify.classify_frames and the segment reduction that
-classify.corpus_events and classify.extract_event share.
+"""Frame-by-frame walks of the track rule, the common-frames rule, the risk
+classification and the event reduction: the reference for the join of
+metrics.joined_pairs, for classify.classify_frames and for the segment
+reduction that classify.corpus_events and classify.extract_event share.
 
-Each frame is classified on its own FrameMetrics, and an event is one
-strict-comparison walk over the frames in time order, so an undefined
-(None) value is skipped and the earliest frame wins a tie. The array path
-must give the same levels and the same ConflictEvents, bit for bit.
+A track is read by the track rule as a dict from timestamp to its first
+frame, sorted by timestamp; a pair's common frames are a's frames in time
+order whose timestamp b holds. Each frame is classified on its own
+FrameMetrics, and an event is one strict-comparison walk over the frames in
+time order, so an undefined (None) value is skipped and the earliest frame
+wins a tie. The array path must give the same frames, the same levels and
+the same ConflictEvents, bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +17,24 @@ from __future__ import annotations
 from typing import Sequence
 
 from conflictmetrics.classify import ConflictEvent, RiskLevel
-from conflictmetrics.metrics import FrameMetrics, MetricsConfig
+from conflictmetrics.metrics import AgentState, FrameMetrics, MetricsConfig
+
+
+def by_time(track: Sequence[AgentState]) -> list[AgentState]:
+    """The track by the track rule: the first frame of each timestamp, in
+    time order."""
+    first: dict[int, AgentState] = {}
+    for state in track:
+        first.setdefault(state.t_dms, state)
+    return [first[t_dms] for t_dms in sorted(first)]
+
+
+def common_frames(track_a: Sequence[AgentState], track_b: Sequence[AgentState]
+                  ) -> list[tuple[AgentState, AgentState]]:
+    """The common frames of a pair: each frame of a, by the track rule, whose
+    timestamp b holds, with b's frame there."""
+    at = {state.t_dms: state for state in by_time(track_b)}
+    return [(state, at[state.t_dms]) for state in by_time(track_a) if state.t_dms in at]
 
 
 def classify_frame(fm: FrameMetrics, cfg: MetricsConfig = MetricsConfig()) -> RiskLevel:

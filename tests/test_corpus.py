@@ -22,9 +22,10 @@ from hypothesis import strategies as st
 
 from conflictmetrics import metrics
 from conflictmetrics.classify import CollisionRemoval, classify_frames, corpus_events, filter_collision_scenarios
-from conflictmetrics.metrics import AgentState, MetricsConfig, compute_pair_frames, frame_columns, joined_pairs, pet
-from conflictmetrics.trajio import Scenario, parse_canonical
-from event_reference import classify_frame, extract_event
+from conflictmetrics.metrics import (MAX_T_S, AgentState, MetricsConfig, compute_pair_frames, frame_columns,
+                                    joined_pairs, pet)
+from conflictmetrics.trajio import Scenario, parse_canonical, serialize_canonical
+from event_reference import by_time, classify_frame, common_frames, extract_event
 
 GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
 
@@ -44,7 +45,8 @@ def reference_events(scenarios, cfg):
             track_a, track_b = scenario.agents[pair[0]], scenario.agents[pair[1]]
             frames = compute_pair_frames(track_a, track_b, cfg)
             if frames:
-                value = pet(track_a, track_b, cfg) if len(track_a) >= 2 and len(track_b) >= 2 else None
+                two = len(by_time(track_a)) >= 2 and len(by_time(track_b)) >= 2
+                value = pet(track_a, track_b, cfg) if two else None
                 events.append(extract_event(scenario.scenario_id, pair, frames, value, cfg))
     return events
 
@@ -56,6 +58,24 @@ def bits(events):
 
 def keyed_pairs(scenarios):
     return [((s.scenario_id, pair), s.agents[pair[0]], s.agents[pair[1]]) for s in scenarios for pair in s.pairs()]
+
+
+def _fields(state):
+    """Every field of a frame but the agent id, which joined tracks drop."""
+    return (state.t, state.x, state.y, state.v, state.heading, state.length, state.width, state.agent_type)
+
+
+def assert_join_matches_walk(scenarios):
+    """joined_pairs gives each pair with common frames, in order, with the
+    frames of event_reference.common_frames on both sides."""
+    pairs = [(k, a, b) for k, (_, a, b) in enumerate(keyed_pairs(scenarios))]
+    expected = [(k, [(_fields(sa), _fields(sb)) for sa, sb in common_frames(a, b)]) for k, a, b in pairs]
+    got = []
+    for keys, a, b, bounds in joined_pairs(pairs):
+        assert bounds[0] == 0 and bounds[-1] == len(a) == len(b) and len(bounds) == len(keys) + 1
+        for k, lo, hi in zip(keys, bounds.tolist(), bounds[1:].tolist()):
+            got.append((k, [(_fields(sa), _fields(sb)) for sa, sb in zip(a[lo:hi], b[lo:hi])]))
+    assert got == [(k, frames) for k, frames in expected if frames]
 
 
 def assert_corpus_matches_reference(scenarios, cfg):
@@ -107,6 +127,28 @@ def test_corpus_events_equal_the_one_pair_reference(corpus, cfg, batch_frames):
         assert_corpus_matches_reference(corpus, cfg)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(scenarios(), min_size=1, max_size=3), st.sampled_from([1, 3, 1024]))
+def test_joined_pairs_equal_the_common_frames_walk(corpus, batch_frames):
+    with mock.patch.object(metrics, "KERNEL_BATCH_FRAMES", batch_frames):
+        assert_join_matches_walk(corpus)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(scenarios(), min_size=1, max_size=3), st.sampled_from(CONFIGS))
+def test_library_and_cli_read_hand_built_tracks_alike(corpus, cfg):
+    """The library normalizes a hand-built track by the rule the canonical
+    parser applies to the rows it is written as."""
+    corpus = [dataclasses.replace(s, scenario_id=f"s{k}") for k, s in enumerate(corpus)]
+    parsed = parse_canonical(serialize_canonical(corpus)).scenarios
+
+    def by_key(events):
+        return bits(sorted(events, key=lambda e: (e.scenario_id, e.agent_pair)))
+
+    assert by_key(corpus_events(corpus, cfg)) == by_key(corpus_events(parsed, cfg))
+    assert filter_collision_scenarios(corpus)[1] == filter_collision_scenarios(parsed)[1]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(scenarios(), min_size=1, max_size=3), st.sampled_from([1, 5, 1024]))
 def test_collision_filter_equals_the_one_pair_overlap_view(corpus, batch_frames):
@@ -144,7 +186,46 @@ def test_ties_undefined_values_single_frames_and_repeated_timestamps():
     assert by_id["ties"].t_mei_max == by_id["ties"].t_act_min == 0.0 and by_id["ties"].frame_count == 3
     assert (by_id["undefined"].mei_max, by_id["undefined"].act_min) == (None, None)
     assert by_id["single"].frame_count == 1
-    assert by_id["repeated"].frame_count == 3
+    assert by_id["repeated"].frame_count == 2
+
+
+# a step of 2^40 in t_dms, in seconds
+T40 = 2**40 / 1e4
+
+
+def test_negative_and_large_timestamps_join_exactly():
+    """Timestamps on which a (track, t_dms) code of track * 2^40 + t_dms
+    would collide: A holds T40 where B does not but C holds 0, and the
+    negative ones and those near MAX_T_S overlap any such code. Each track
+    is given unsorted and with a repeat."""
+    far = MAX_T_S - 1.0
+    base = [-far, -T40, -1.5, 0.0, 0.1, T40, far]
+    scenario = Scenario("far", {
+        "A": _still("A", [T40, *base[::-1], 0.1], 0.0, 0.0),
+        "B": _still("B", [0.1, 0.0, -far, 0.0, -1.5], 30.0, 0.0, heading=math.pi),
+        "C": _still("C", [far, 0.1, 0.0, far, -T40], 0.0, -30.0, heading=math.pi / 2),
+    })
+    for cfg in CONFIGS:
+        assert_corpus_matches_reference([scenario], cfg)
+    assert_join_matches_walk([scenario])
+    counts = {e.agent_pair: e.frame_count for e in corpus_events([scenario])}
+    assert counts == {("A", "B"): 4, ("A", "C"): 4, ("B", "C"): 2}
+
+
+def test_canonical_file_far_from_the_epoch_joins_exactly():
+    """A file at t = 5e13 s parses to t_dms near 5e17, far above 2^40."""
+    rows = [f"s,{agent},vehicle,{5e13 + 0.5 * k!r},{x + v * 0.5 * k},{y},{abs(v)},{h},4.0,2.0"
+            for agent, ks, x, y, v, h in (("A", range(4), 0.0, 0.0, 10.0, 0.0),
+                                          ("B", range(4), 40.0, 0.5, -10.0, math.pi),
+                                          ("C", (1, 3), 20.0, -30.0, 0.0, math.pi / 2))
+            for k in ks]
+    result = parse_canonical("\n".join(["scenario_id,agent_id,agent_type,t,x,y,speed,heading,length,width", *rows]))
+    (scenario,) = result.scenarios
+    assert int(scenario.agents["A"].t_dms[0]) > 2**58
+    for cfg in CONFIGS:
+        assert_corpus_matches_reference([scenario], cfg)
+    assert_join_matches_walk([scenario])
+    assert [e.frame_count for e in corpus_events([scenario])] == [4, 2, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -447,9 +447,9 @@ def pet_scenarios(draw, frames):
 def test_corpus_pet_equals_the_box_by_box_reference(data, frames, grid, chunk_pairs):
     corpus = data.draw(st.lists(pet_scenarios(frames), min_size=1, max_size=3))
     with mock.patch.object(metrics, "KERNEL_BATCH_FRAMES", chunk_pairs * frames), \
-            mock.patch.object(classify, "pets", wraps=metrics.pets) as spy:
+            mock.patch.object(classify, "_pets", wraps=metrics._pets) as spy:
         events = corpus_events(corpus, MetricsConfig(pet_grid=grid))
-    assert max(len(call.args[0]) for call in spy.call_args_list) == min(chunk_pairs, len(events))
+    assert max(len(call.args[1]) for call in spy.call_args_list) == min(chunk_pairs, len(events))
     expected = []
     for scenario in corpus:
         for a, b in scenario.pairs():
