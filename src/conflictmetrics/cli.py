@@ -600,8 +600,10 @@ def main(argv: list[str] | None = None) -> int:
     except EmptyInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        if exc.filename is None:  # not about a path the command was given
+            raise
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_NOT_FOUND
 
 

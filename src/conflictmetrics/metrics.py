@@ -44,8 +44,11 @@ Q_PREDICATES = ("approach_distance", "always_true")
 FACE_TOL = 1e-9
 
 # Timestamps are held as int64 tenths of a millisecond (t_dms); |t| must stay
-# below this many seconds for them to fit.
-MAX_T_S = 1e14
+# below this many seconds. Below it, np.rint(t * 1e4) gives the exact key of
+# every time of four decimals, read from text with float(). That fails long
+# before t * 1e4 nears 2^53: one in eleven such times just above 2^38 s
+# (2.7e11 s) rounds to a neighbouring key.
+MAX_T_S = 1e11
 
 # Grid cells evaluated per batch of boxes in PET, and window pairs compared
 # per batch of its window-meet test: a batch holds less than this plus its

@@ -17,7 +17,10 @@ alignment across agents is exact on the 10 Hz grid.
 from __future__ import annotations
 
 import csv
+import errno
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 from itertools import chain, compress, groupby, repeat
 from operator import itemgetter
@@ -100,10 +103,9 @@ class ParseResult:
 # Characters of text split into cells at a time. This keeps a block's bytes
 # and each mask over them at 64 kB, as PET_BATCH_CELLS keeps a PET batch's
 # temporaries, and its split cells (some 60 bytes a cell of 15 characters)
-# at about 256 kB. The cells do not outlive the block; the 8-byte numbers
-# they become do. adapt_external also keeps each block's text until it knows
-# which tracks the row path rebuilds, and from then on only the text of the
-# blocks that hold their rows.
+# at about 256 kB. Neither the text nor the cells outlive the block; the
+# 8-byte numbers they become do. adapt_external reads again the blocks that
+# hold rows of a track the row path rebuilds.
 _BLOCK_CHARS = 1 << 16
 
 
@@ -660,20 +662,29 @@ def adapt_external(paths: Sequence[str]) -> ParseResult:
     pedestrians only. Scenarios without an 'AV' track are skipped with a
     diagnostic. See docs/dataset_format.md for the field-by-field mapping.
 
-    Columns are converted a block at a time and every track is built from
-    them. A track that any check flags (an invalid cell, a repeated or
-    out-of-range timestep, files of different layouts, dimensions it cannot
-    take) is read again by _adapt_track, which applies the same rules record
-    by record to report the first fault in record order.
+    Every input must be a regular file; anything else (a directory, a FIFO,
+    a device) raises OSError before it is opened: the row path below may
+    read a file twice, and opening a FIFO with no writer blocks.
+
+    Columns are converted a block at a time into columns grown in place,
+    and every track is built from them; no text is kept. A track that any
+    check flags (an invalid cell, a repeated or out-of-range timestep, files
+    of different layouts, dimensions it cannot take) is read again by
+    _adapt_track, which applies the same rules record by record to report
+    the first fault in record order. Its lines are read again from its
+    files, which must not change during the call.
     """
     issues: list[ParseIssue] = []
     case_ids: dict[str, int] = {}
     track_ids: dict[str, int] = {}
     categories: dict[str, int] = {}
     dimensions: dict[str, float] = {}
-    blocks: list[tuple[_Layout, int, str | None]] = []  # the layout, first line and text of each
-    parts = []
+    blocks: list[tuple[_Layout, int, str, int]] = []  # the layout, first line, file and index in it of each
+    columns: list[np.ndarray] = []
+    n = 0
     for path in paths:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise OSError(errno.EINVAL, "not a regular file", path)
         with open(path, "r", encoding="utf-8") as fh:
             header, file_blocks = _read_csv(fh)
             if header is None:
@@ -682,26 +693,36 @@ def adapt_external(paths: Sequence[str]) -> ParseResult:
                 if required not in header:
                     raise SchemaError(f"{path}: missing required column: {required}")
             file_layout = _Layout(header)
-            for block in file_blocks:
-                parts.append(_dataset_columns(len(blocks), file_layout, block, case_ids, track_ids, categories,
-                                              dimensions, issues))
-                blocks.append((file_layout, block.first, block.text))  # the cells go
-    if not any(len(part[0]) for part in parts):
+            for index, block in enumerate(file_blocks):
+                part = _dataset_columns(len(blocks), file_layout, block, case_ids, track_ids, categories,
+                                        dimensions, issues)
+                n = _append(columns, n, part)
+                blocks.append((file_layout, block.first, path, index))  # the text and cells go
+    if not n:
         return ParseResult(scenarios=[], issues=issues)
-    scenarios = _dataset_scenarios(_concatenated(parts), blocks, case_ids, track_ids, categories, issues)
+    columns[:] = [column[:n] for column in columns]  # views of the filled rows, the only references left
+    scenarios = _dataset_scenarios(columns, blocks, case_ids, track_ids, categories, issues)
     return ParseResult(scenarios=scenarios, issues=issues)
 
 
-def _concatenated(parts: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
-    """The columns of parts laid end to end, emptying parts. Each column's
-    pieces are dropped once it is built, so one copy of the data is held
-    at a time, plus one column."""
-    columns = [list(pieces) for pieces in zip(*parts)]
-    parts.clear()
-    for k, pieces in enumerate(columns):
-        columns[k] = np.concatenate(pieces)
-        pieces.clear()
-    return columns
+def _append(columns: list[np.ndarray], n: int, part: tuple[np.ndarray, ...]) -> int:
+    """Write part's columns after the first n rows of columns, in place, and
+    return the rows filled. Columns that cannot hold them are grown to twice
+    their length, or to the rows when that is more, one column at a time, so
+    no more than one column is held twice."""
+    filled = n + len(part[0])
+    if not columns:
+        columns.extend(np.empty(filled, dtype=values.dtype) for values in part)
+    elif filled > len(columns[0]):
+        size = max(2 * len(columns[0]), filled)
+        for k, column in enumerate(columns):
+            grown = np.empty(size, dtype=column.dtype)
+            grown[:n] = column[:n]
+            columns[k] = grown
+        del column, grown
+    for column, values in zip(columns, part):
+        column[n:filled] = values
+    return filled
 
 
 def _dataset_columns(
@@ -769,7 +790,7 @@ def _timestep_or_bound(cell: str) -> int:
 
 def _dataset_scenarios(
     columns: list[np.ndarray],
-    blocks: list[tuple[_Layout, int, str | None]],
+    blocks: list[tuple[_Layout, int, str, int]],
     case_ids: dict[str, int],
     track_ids: dict[str, int],
     categories: dict[str, int],
@@ -777,9 +798,9 @@ def _dataset_scenarios(
 ) -> list[Scenario]:
     """The scenarios of the records' columns, in case_id order, each with its
     tracks in track_id order. A track's records are sorted by timestep
-    (stably, so files and lines keep their order). Empties columns, and
-    drops the text of each block that holds no row of a track the row path
-    rebuilds."""
+    (stably, so files and lines keep their order). Empties columns. The
+    lines of the blocks that hold rows of a track the row path rebuilds are
+    read again from their files."""
     case_names, columns[2] = _ranked(case_ids, columns[2])
     track_names, columns[3] = _ranked(track_ids, columns[3])
     order = np.lexsort((columns[5], columns[3], columns[2]))
@@ -791,7 +812,7 @@ def _dataset_scenarios(
     n = len(step)
     # 2 * has_vel + has_psi of each row's file: 3 psi_rad given, 2 heading
     # from vx/vy, 0 or 1 kinematics from positions
-    layout = np.array([2 * lay.has_vel + lay.has_psi for lay, _, _ in blocks], dtype=np.int8)[block]
+    layout = np.array([2 * lay.has_vel + lay.has_psi for lay, *_ in blocks], dtype=np.int8)[block]
     new = np.r_[True, (case[1:] != case[:-1]) | (track[1:] != track[:-1])]
     starts = np.flatnonzero(new)
     bounds = np.append(starts, n)
@@ -820,12 +841,7 @@ def _dataset_scenarios(
         )
     ]
     rows = np.repeat([shape is not None for shape in shapes], np.diff(bounds))
-    # the row path reads its tracks' lines from the text of their blocks;
-    # every other block's text goes
-    read = set(block[~rows].tolist())
-    for b, (block_layout, block_first, _) in enumerate(blocks):
-        if b not in read:
-            blocks[b] = (block_layout, block_first, None)
+    lines_of = _block_lines(blocks, set(block[~rows].tolist()))  # the row path reads its tracks' lines
     track_of = track[starts].tolist()
     built = [k for k, shape in enumerate(shapes) if shape]
     tracks: dict[int, TrackArrays] = {}
@@ -842,7 +858,6 @@ def _dataset_scenarios(
 
     bounds = bounds.tolist()
     near_zero = np.logical_or.reduceat(held, starts).tolist()
-    lines_of: dict[int, list[str]] = {}
     scenarios: list[Scenario] = []
     for case_code, group in groupby(range(len(starts)), key=case[starts].tolist().__getitem__):
         case_id = case_names[case_code]
@@ -949,14 +964,31 @@ def _shape(agent_type: str, no_dims: bool, length: float, width: float) -> tuple
     return agent_type, length, width
 
 
-def _records(blocks: list[tuple[_Layout, int, str]], rows: Iterable[tuple[int, int]], lines_of: dict) -> list[tuple]:
-    """The records of (block, line) rows in file order, read from the blocks'
-    text as the row path reads them; lines_of caches each block's lines."""
+def _block_lines(blocks: list[tuple[_Layout, int, str, int]], wanted: set[int]) -> dict[int, list[str]]:
+    """The lines of each wanted block, read again through _read_csv. Each
+    file that holds one is read once, even when it was given more than
+    once, and only the wanted blocks' lines are kept."""
+    by_file: dict[str, dict[int, list[int]]] = {}  # path: {index in the file: blocks}
+    for b in sorted(wanted):
+        _, _, path, index = blocks[b]
+        by_file.setdefault(path, {}).setdefault(index, []).append(b)
+    lines_of = {}
+    for path, wanted_here in by_file.items():
+        with open(path, "r", encoding="utf-8") as fh:
+            for index, block in zip(range(max(wanted_here) + 1), _read_csv(fh)[1]):
+                if index in wanted_here:
+                    lines = block.text.split("\n")
+                    lines_of.update(dict.fromkeys(wanted_here[index], lines))
+    return lines_of
+
+
+def _records(blocks: list[tuple[_Layout, int, str, int]], rows: Iterable[tuple[int, int]],
+             lines_of: dict[int, list[str]]) -> list[tuple]:
+    """The records of (block, line) rows in file order, read from the lines
+    of their blocks (lines_of) as the row path reads them."""
     recs = []
     for b, line in sorted(rows):
-        layout, first, text = blocks[b]
-        if b not in lines_of:
-            lines_of[b] = text.split("\n")
+        layout, first, _, _ = blocks[b]
         lines, i = lines_of[b], line - first
         recs.append(layout.record(line, _cells(lines[i] + "\n" if i < len(lines) - 1 else lines[i])))
     return recs

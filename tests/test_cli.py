@@ -72,12 +72,14 @@ def dirty_corpus_file(tmp_path):
     return path
 
 
-def _run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+def _run_fresh(code: str, *args: str, timeout: float | None = None) -> subprocess.CompletedProcess:
     """Runs code in a fresh interpreter that imports this package's source,
-    so the modules loaded are exactly those the code loads."""
+    so the modules loaded are exactly those the code loads. A run longer
+    than timeout seconds is killed and raises subprocess.TimeoutExpired."""
     src = str(Path(conflictmetrics.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env,
+                          timeout=timeout)
 
 
 class TestFrames:
@@ -252,6 +254,26 @@ class TestExitCodes:
     def test_missing_input_file(self, tmp_path):
         rc = main(["events", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
         assert rc == EXIT_NOT_FOUND
+
+    @pytest.mark.parametrize("kind, argv, reason", [
+        ("directory", ["events"], "Is a directory"),
+        ("directory", ["filter-collisions", "--format", "dataset"], "not a regular file"),
+        ("fifo", ["filter-collisions", "--format", "dataset"], "not a regular file"),
+    ])
+    def test_an_input_that_is_not_a_regular_file(self, tmp_path, kind, argv, reason):
+        """Exit 4 with one line naming the path, never a traceback. The run is
+        a subprocess with a timeout, so an open() that blocks on a FIFO with
+        no writer fails the test instead of hanging it."""
+        path = tmp_path / kind
+        if kind == "fifo":
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("os.mkfifo is unavailable")
+            os.mkfifo(path)
+        else:
+            path.mkdir()
+        proc = _run_fresh("import sys\nfrom conflictmetrics.cli import main\nsys.exit(main(sys.argv[1:]))",
+                          *argv, "--input", str(path), "--out", str(tmp_path / "o"), timeout=60)
+        assert (proc.returncode, proc.stderr) == (EXIT_NOT_FOUND, f"error: {path}: {reason}\n")
 
     def test_filter_on_empty_corpus(self, tmp_path):
         src = tmp_path / "empty.csv"

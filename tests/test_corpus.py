@@ -213,15 +213,16 @@ def test_negative_and_large_timestamps_join_exactly():
 
 
 def test_canonical_file_far_from_the_epoch_joins_exactly():
-    """A file at t = 5e13 s parses to t_dms near 5e17, far above 2^40."""
-    rows = [f"s,{agent},vehicle,{5e13 + 0.5 * k!r},{x + v * 0.5 * k},{y},{abs(v)},{h},4.0,2.0"
+    """A file just below MAX_T_S = 1e11 s parses to t_dms near 1e15, far
+    above 2^40."""
+    rows = [f"s,{agent},vehicle,{MAX_T_S - 2.0 + 0.5 * k!r},{x + v * 0.5 * k},{y},{abs(v)},{h},4.0,2.0"
             for agent, ks, x, y, v, h in (("A", range(4), 0.0, 0.0, 10.0, 0.0),
                                           ("B", range(4), 40.0, 0.5, -10.0, math.pi),
                                           ("C", (1, 3), 20.0, -30.0, 0.0, math.pi / 2))
             for k in ks]
     result = parse_canonical("\n".join(["scenario_id,agent_id,agent_type,t,x,y,speed,heading,length,width", *rows]))
     (scenario,) = result.scenarios
-    assert int(scenario.agents["A"].t_dms[0]) > 2**58
+    assert int(scenario.agents["A"].t_dms[0]) > 2**49
     for cfg in CONFIGS:
         assert_corpus_matches_reference([scenario], cfg)
     assert_join_matches_walk([scenario])

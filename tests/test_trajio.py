@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conflictmetrics.metrics import AgentState
+from conflictmetrics.metrics import MAX_T_S, AgentState, TrackArrays
 from conflictmetrics.trajio import (
     SchemaError,
     adapt_external,
@@ -450,10 +450,31 @@ def test_timestamps_beyond_the_clock_range_are_row_errors():
     text = f"{HEADER}\ns1,A,vehicle,0.0,0,0,5,0,4,2\ns1,A,vehicle,1e15,0,0,5,0,4,2\ns1,A,vehicle,1e306,0,0,5,0,4,2\n"
     result = parse_canonical(text)
     assert [(i.line, i.message) for i in result.issues] == [
-        (3, "t must be < 1e+14, got 1000000000000000.0"),
-        (4, "t must be < 1e+14, got 1e+306"),
+        (3, "t must be < 1e+11, got 1000000000000000.0"),
+        (4, "t must be < 1e+11, got 1e+306"),
     ]
     assert len(result.scenarios[0].agents["A"]) == 1
+
+
+# keys (t in tenths of a millisecond) of the times below MAX_T_S
+_KEYS = round(MAX_T_S * 1e4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, _KEYS - 1) | st.integers(_KEYS - 10**9, _KEYS - 1), min_size=1, max_size=40))
+def test_every_four_decimal_time_below_the_bound_keeps_its_exact_key(keys):
+    """A time of four decimals below MAX_T_S, read from text, keeps its exact
+    key in TrackArrays.from_columns; parse_canonical keeps the row and the
+    key exactly when the fourth decimal is 0, and rejects the row otherwise."""
+    texts = [f"{k // 10**4}.{k % 10**4:04d}" for k in keys]
+    n = len(keys)
+    track = TrackArrays.from_columns("a", list(map(float, texts)), *[[1.0] * n] * 6, ["vehicle"] * n)
+    assert track.t_dms.tolist() == keys
+    rows = [f"s1,{i},vehicle,{text},0,0,5,0,4,2" for i, text in enumerate(texts)]
+    result = parse_canonical("\n".join([HEADER, *rows]))
+    assert [i.line for i in result.issues] == [i + 2 for i, k in enumerate(keys) if k % 10]
+    parsed = {agent: track.t_dms.tolist() for s in result.scenarios for agent, track in s.agents.items()}
+    assert parsed == {str(i): [k] for i, k in enumerate(keys) if k % 10 == 0}
 
 
 def test_open_quote_ends_with_its_line_however_much_text_follows():
@@ -470,16 +491,16 @@ def test_open_quote_ends_with_its_line_however_much_text_follows():
 
 
 def test_adapt_timestep_bound_is_exclusive(tmp_path):
-    """|timestep| must stay below 1e15, so its time stays below the 1e14 s
+    """|timestep| must stay below 1e12, so its time stays below the 1e11 s
     clock limit; a track at the bound is skipped with one message."""
     row = "c1,{track},car,{step},0.0,0.0,5.0,0.0,0.0,4.5,2.0"
-    steps = {"AV": (0, 1), "near": (10**15 - 2, 10**15 - 1), "at": (0, 10**15), "neg": (-(10**15), 0)}
+    steps = {"AV": (0, 1), "near": (10**12 - 2, 10**12 - 1), "at": (0, 10**12), "neg": (-(10**12), 0)}
     rows = [row.format(track=track, step=step) for track, pair in steps.items() for step in pair]
     result = adapt_external([_dataset_csv(tmp_path, rows)])
     (scenario,) = result.scenarios
     assert sorted(scenario.agents) == ["AV", "near"]
     assert [i.message for i in result.issues] == [
-        f"track {track}: malformed data (timestep must be below 1000000000000000 in magnitude); track skipped"
+        f"track {track}: malformed data (timestep must be below 1000000000000 in magnitude); track skipped"
         for track in ("at", "neg")
     ]
 
